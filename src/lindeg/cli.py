@@ -1,7 +1,8 @@
 """Command-line surface: deterministic text, JSON and CSV reports.
 
 Subcommands: supports, expand, motzkin, dual, verify, asymptotics.
-Exit codes: 0 on success, 1 on failed verification, 2 on usage errors.
+Exit codes: 0 on success, 1 on failed verification or an internal error
+(an ArithmeticError from the expansion engine), 2 on usage errors.
 Output is byte-identical across runs with identical arguments; the cost
 warning for a raised size cap goes to standard error so it never perturbs
 the report stream.
@@ -392,6 +393,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a broken invariant inside the expansion engine, not a usage error
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def run() -> None:

@@ -27,10 +27,11 @@ All coefficients are exact Laurent polynomials; every step is deterministic
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
 
 from .combinatorics import leq, padded, ptuples, upper_bounds
-from .laurent import ONE, ZERO, LaurentPoly, qbinom, qfact, v_power
+from .laurent import ONE, LaurentPoly, _raw, qbinom, qfact, v_power
 
 #: v^-1 - v, the prefactor of the bar transition matrix.
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
@@ -168,16 +169,243 @@ def _descending(keys):
     return sorted(keys, key=lambda t: (-sum(t), t))
 
 
+# ---------------------------------------------------------------------------
+# packed-integer kernel
+#
+# Every W, Z and mu entry has its exponents in one parity class.  Such an
+# entry is packed once as (value, lo, hi, norm): value = sum_i c_i 2^(width i)
+# is its evaluation at a power of two (Kronecker substitution) with signed
+# slots for the coefficients c_i of v^(lo + 2i), lo <= lo + 2i <= hi, and
+# norm is at least the sum of the absolute values of its coefficients.
+# Evaluation is a ring homomorphism, so one big-int multiply packs the
+# product of two entries and shifted big-int sums pack sums of products.
+# Decoding is unique while every coefficient stays below 2^(width - 1) in
+# absolute value.  A coefficient of sum a*b is at most sum ||a|| ||b||, and
+# that proven bound is held to width - 2 bits before anything is decoded;
+# the decoder checks every slot against the same margin.
+# ---------------------------------------------------------------------------
+
+#: Array typecode of a signed machine word, by slot width in bits.
+_TYPECODES = {8 * array(code).itemsize: code for code in "bhiq"}
+
+#: Slot width the stages start from; they double it on a bound refusal.
+_START_WIDTH = 64
+
+#: The packed constant 1, to put a single entry into a sum of products.
+_UNIT = (1, 0, 0, 1)
+
+
+class _SlotBoundError(ArithmeticError):
+    """A proven coefficient bound does not fit the slot width."""
+
+
+def _where(label) -> str:
+    stage, n, key = label
+    return f"{stage} entry {key} at n={n}"
+
+
+def _check_bound(bound: int, width: int, label) -> None:
+    if bound.bit_length() > width - 2:
+        raise _SlotBoundError(
+            f"coefficient bound 2^{bound.bit_length()} of {_where(label)} "
+            f"does not fit {width}-bit slots")
+
+
+@lru_cache(maxsize=None)
+def _bias(count: int, width: int) -> int:
+    """2^(width - 1) in each of count slots.  Adding it to a packed value
+    makes every slot nonnegative; XOR with it flips the top bit of every
+    slot, which turns biased slots into two's-complement ones and back."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _pack_slots(slots, lo: int, width: int, label) -> tuple:
+    """Pack the coefficients of v^lo, v^(lo + 2), ... (nonempty)."""
+    norm = sum(map(abs, slots))
+    _check_bound(norm, width, label)
+    code = _TYPECODES.get(width)
+    if code:
+        raw = array(code, slots).tobytes()
+    else:
+        raw = b"".join(c.to_bytes(width // 8, "little", signed=True)
+                       for c in slots)
+    bias = _bias(len(slots), width)
+    value = (int.from_bytes(raw, "little") ^ bias) - bias
+    return value, lo, lo + 2 * (len(slots) - 1), norm
+
+
+def _pack(terms: dict, width: int, label) -> tuple:
+    """Pack a nonzero {exponent: coeff} dict tightly."""
+    lo, hi = min(terms), max(terms)
+    slots = list(map(terms.get, range(lo, hi + 1, 2),
+                     itertools.repeat(0)))
+    if len(slots) - slots.count(0) != len(terms):
+        raise ArithmeticError(f"{_where(label)} mixes parity classes")
+    return _pack_slots(slots, lo, width, label)
+
+
+def _neg(packed: tuple) -> tuple:
+    value, lo, hi, norm = packed
+    return -value, lo, hi, norm
+
+
+def _decode(value: int, lo: int, hi: int, width: int, label):
+    """The signed slots of a packed value on the lattice lo, lo + 2, ...,
+    hi.  A slot within 2 bits of the limit is refused: one whose
+    coefficient lies outside [-2^(width - 2), 2^(width - 2)), so that the
+    top two bits of its biased form are equal."""
+    count = (hi - lo) // 2 + 1
+    bias = _bias(count, width)
+    second = bias >> 1  # the second-highest bit of every slot
+    biased = value + bias
+    if (biased < 0 or biased >> (width * count)
+            or (biased ^ biased >> 1) & second != second):
+        raise ArithmeticError(
+            f"{_where(label)} has a packed slot within 2 bits of the "
+            f"{width}-bit limit")
+    size = width // 8
+    raw = (biased ^ bias).to_bytes(count * size, "little")
+    code = _TYPECODES.get(width)
+    if code:
+        return array(code, raw)
+    return [int.from_bytes(raw[i:i + size], "little", signed=True)
+            for i in range(0, len(raw), size)]
+
+
+def _terms(lo: int, slots) -> dict:
+    """{exponent: coeff} of the nonzero slots from v^lo upwards."""
+    terms = dict(zip(range(lo, lo + 2 * len(slots), 2), slots))
+    if 0 in slots:
+        terms = {e: c for e, c in terms.items() if c}
+    return terms
+
+
+def _dot(pairs: list, width: int, label) -> tuple:
+    """(lo, slots) of the sum of a * b over nonempty packed pairs (a, b).
+
+    One pass: the sum is kept relative to the lowest exponent seen so far
+    and shifted up whenever a product starts lower."""
+    first_a, first_b = pairs[0]
+    lo = first_a[1] + first_b[1]
+    hi = first_a[2] + first_b[2]
+    bound = total = 0
+    for a, b in pairs:
+        bound += a[3] * b[3]
+        step = a[1] + b[1] - lo
+        if step & 1:
+            raise ArithmeticError(f"{_where(label)} mixes parity classes")
+        if step < 0:
+            total <<= width * (-step >> 1)
+            lo += step
+            step = 0
+        total += a[0] * b[0] << width * (step >> 1)
+        if a[2] + b[2] > hi:
+            hi = a[2] + b[2]
+    _check_bound(bound, width, label)
+    return lo, _decode(total, lo, hi, width, label)
+
+
+def _widening(stage, *args):
+    """Run stage(*args, width) from the start width, doubling the slot width
+    each time the kernel refuses a coefficient bound."""
+    width = _START_WIDTH
+    while True:
+        try:
+            return stage(*args, width)
+        except _SlotBoundError:
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
+# the three expansion stages
+# ---------------------------------------------------------------------------
+
+def _bar_matrix(n: int, width: int) -> dict:
+    """W on the packed kernel.  A depth-first walk over the coordinates of
+    y multiplies memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of
+    the closed form into shared prefix products; g_n is folded into the
+    factor for k = n - 1, so each entry costs about one multiply."""
+    factors = {}
+
+    def local(xp, xk, dp, dk):
+        a = n + 1 - xp - xk
+        return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
+                * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
+
+    def factor(k, xe, dp, dk):
+        key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
+        if key not in factors:
+            g = local(xe[k - 1], xe[k], dp, dk)
+            if k == n - 1:
+                g = g * local(xe[k], 0, dk, 0)
+            factors[key] = g and _pack(g._terms, width, ("W factor", n, key))
+        return factors[key]
+
+    out = {}
+    for x in ptuples(n):
+        xe = padded(n, x)
+
+        def walk(k, y, dp, value, lo, hi, norm):
+            if k == n:
+                label = ("W", n, (x, y))
+                _check_bound(norm, width, label)
+                out[(x, y)] = _raw(_terms(lo, _decode(value, lo, hi, width,
+                                                      label)))
+                return
+            for yk in range(xe[k] + 1):
+                dk = xe[k] - yk
+                g = factor(k, xe, dp, dk)
+                if g:
+                    walk(k + 1, y + (yk,), dk, value * g[0], lo + g[1],
+                         hi + g[2], norm * g[3])
+
+        walk(1, (), 0, *_UNIT)
+    return out
+
+
 @lru_cache(maxsize=None)
 def bar_transition_matrix(n: int) -> dict:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
-    the parameter set.  Treat the returned dict as read-only."""
+    the parameter set; entry by entry equal to bar_transition_coeff.  Treat
+    the returned dict as read-only."""
+    return _widening(_bar_matrix, n)
+
+
+def _canonical_matrix(n: int, w: dict, width: int) -> dict:
+    w_to = {}  # y -> {m: packed w(m, y)}
+    for (m, y), p in w.items():
+        w_to.setdefault(y, {})[m] = _pack(p._terms, width, ("W", n, (m, y)))
     out = {}
     for x in ptuples(n):
-        for y in _below(x):
-            w = bar_transition_coeff(n, x, y)
-            if w:
-                out[(x, y)] = w
+        out[(x, x)] = ONE
+        bars = {}  # packed bar images of the entries solved in this column
+        targets = [y for y in _below(x) if y != x]
+        for y in _descending(targets):
+            w_y = w_to.get(y, {})
+            pairs = [(w_y[x], _UNIT)] if x in w_y else []
+            # bars holds neither x nor the unsolved y: the box ends drop out
+            for m in _between(y, x):
+                zbar = bars.get(m)
+                if zbar is not None:
+                    wmy = w_y.get(m)
+                    if wmy is not None:
+                        pairs.append((zbar, wmy))
+            if not pairs:
+                continue
+            label = ("Z", n, (x, y))
+            lo, slots = _dot(pairs, width, label)
+            rhs = _terms(lo, slots)
+            if rhs.get(0) or {-e: -c for e, c in rhs.items()} != rhs:
+                raise ArithmeticError(
+                    f"bar-antisymmetry failed solving entry ({x}, {y}) at "
+                    f"n={n}: rhs = {_raw(rhs)}")
+            z = {e: c for e, c in rhs.items() if e < 0}
+            if z:
+                out[(x, y)] = _raw(z)
+                # bar(z) = -(positive part of rhs), read off the slots
+                first = (2 - lo) // 2
+                bars[y] = _neg(_pack_slots(slots[first:], lo + 2 * first,
+                                           width, label))
     return out
 
 
@@ -192,32 +420,38 @@ def canonical_transition_matrix(n: int) -> dict:
     so the needed intermediate entries always exist already.  A right-hand
     side with a constant term, or one that is not bar-antisymmetric, means
     the bar-transition closed form is broken, and raises ArithmeticError.
-    Absent keys are zero.  Treat the returned dict as read-only.
+    W is read through the name bar_transition_matrix.  Absent keys are
+    zero.  Treat the returned dict as read-only.
     """
-    w = bar_transition_matrix(n)
+    return _widening(_canonical_matrix, n, bar_transition_matrix(n))
+
+
+def _canonical_coeffs(n: int, zeta: dict, width: int) -> dict:
+    z_to = {}  # y -> {x: packed z(x, y)}
+    for (x, y), p in zeta.items():
+        z_to.setdefault(y, {})[x] = _pack(p._terms, width, ("Z", n, (x, y)))
+    bounds = upper_bounds(n)
+    minus_mu = {}  # packed -mu(x) of the coefficients found so far
     out = {}
-    for x in ptuples(n):
-        out[(x, x)] = ONE
-        bars = {}  # bar images of the entries solved so far in this column
-        targets = [y for y in _below(x) if y != x]
-        for y in _descending(targets):
-            rhs = w.get((x, y), ZERO)
-            for m in _between(y, x):
-                if m == x or m == y:
-                    continue
-                zbar = bars.get(m)
-                if zbar is not None:
-                    wmy = w.get((m, y))
-                    if wmy is not None:
-                        rhs = rhs + zbar * wmy
-            if rhs.coefficient(0) or rhs.bar() != -rhs:
-                raise ArithmeticError(
-                    f"bar-antisymmetry failed solving entry ({x}, {y}) at "
-                    f"n={n}: rhs = {rhs}")
-            z = rhs.negative_part()
-            if z:
-                out[(x, y)] = z
-                bars[y] = z.bar()
+    for y in _descending(ptuples(n)):
+        label = ("mu", n, y)
+        pbw = pbw_coeff(n, y)
+        pairs = [(_pack(pbw._terms, width, label), _UNIT)] if pbw else []
+        z_y = z_to.get(y, {})
+        # minus_mu does not hold y yet, so the term x = y drops out
+        for x in _between(y, bounds):
+            mu_x = minus_mu.get(x)
+            if mu_x is not None:
+                z = z_y.get(x)
+                if z is not None:
+                    pairs.append((mu_x, z))
+        if not pairs:
+            continue
+        lo, slots = _dot(pairs, width, label)
+        acc = _terms(lo, slots)
+        if acc:
+            out[y] = _raw(acc)
+            minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
     return out
 
 
@@ -231,20 +465,4 @@ def canonical_coeffs(n: int) -> dict:
     keys.  Zero coefficients are dropped.  Treat the returned dict as
     read-only.
     """
-    zeta = canonical_transition_matrix(n)
-    bounds = upper_bounds(n)
-    out = {}
-    for y in _descending(ptuples(n)):
-        acc = pbw_coeff(n, y)
-        for x in _between(y, bounds):
-            if x == y:
-                continue
-            mu_x = out.get(x)
-            if mu_x is None:
-                continue
-            z = zeta.get((x, y))
-            if z is not None:
-                acc = acc - mu_x * z
-        if acc:
-            out[y] = acc
-    return out
+    return _widening(_canonical_coeffs, n, canonical_transition_matrix(n))

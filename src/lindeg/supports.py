@@ -76,8 +76,8 @@ def verify_supports(n: int) -> dict:
         f"algebraic pipeline found {len(comp_set)} tuples, "
         f"combinatorial pipeline {len(pred_set)}"))
 
-    coeffs = canonical_coeffs(n)
-    survivors = {y for y in coeffs if dual_rank_tuple(n, y).geq_r1()}
+    duals = {y: dual_rank_tuple(n, y) for y in ptuples(n)}
+    survivors = {y for y in canonical_coeffs(n) if duals[y].geq_r1()}
     motzkin = set(motzkin_paths(n))
     checks.append(_check(
         "per_element_motzkin",
@@ -99,9 +99,9 @@ def verify_supports(n: int) -> dict:
         f"{len(peaks)} single-peak paths onto {len(pbw)} PBW-locus tuples"))
 
     reduction_ok = all(
-        dual_rank_tuple(n, y).geq_r1()
+        rt.geq_r1()
         == all(next_neighbor_rank(n, y, i) >= n for i in range(1, n))
-        for y in ptuples(n))
+        for y, rt in duals.items())
     checks.append(_check(
         "filter_reduction",
         reduction_ok,

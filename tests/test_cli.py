@@ -229,3 +229,16 @@ def test_quantum_label():
     # not a quantum symbol: falls back to the expanded rendering
     assert quantum_label(LaurentPoly({1: 1, 0: 1})) == "v + 1"
     assert quantum_label(LaurentPoly({-2: 3})) == "3v^-2"
+
+
+def test_solver_arithmetic_error_is_internal_error(capsys, monkeypatch):
+    from lindeg import supports
+
+    def broken(n):
+        raise ArithmeticError(f"bar-antisymmetry failed at n={n}")
+
+    monkeypatch.setattr(supports, "canonical_coeffs", broken)
+    code, out, err = run_cli(capsys, "verify", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: bar-antisymmetry failed at n=3\n"

@@ -1,7 +1,9 @@
 """PBW expansion, bar transition, triangular solve, canonical coefficients."""
 
+import oracles
 import pytest
 
+from lindeg import expansion
 from lindeg.combinatorics import leq, motzkin_paths, ptuples, upper_bounds
 from lindeg.expansion import (
     bar_transition_coeff,
@@ -204,10 +206,11 @@ def test_reconstruction():
 
 
 def test_small_rank_coeffs_palindromic():
-    # observed on all known closed-form values; not asserted beyond n = 4
-    for n in range(1, 5):
-        for c in canonical_coeffs(n).values():
-            assert c == c.bar()
+    # bar invariance and positivity of the canonical coefficients, n <= 6
+    for n in range(1, 7):
+        for y, c in canonical_coeffs(n).items():
+            assert c == c.bar(), (n, y)
+            assert all(int(a) >= 0 for _, a in c.to_pairs()), (n, y)
 
 
 def test_degree_values():
@@ -236,3 +239,95 @@ def test_degree_gap():
             for z in pset:
                 if leq(y, z) and z != y:
                     assert pbw_coeff_degree_gap(n, y, z) >= 0, (n, y, z)
+
+
+# -- packed kernel against the dict-path oracles ------------------------------
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_stages_match_oracles(n):
+    # equal dicts with equal key order, stage by stage
+    stages = [
+        (bar_transition_matrix, oracles.bar_transition_matrix),
+        (canonical_transition_matrix, oracles.canonical_transition_matrix),
+        (canonical_coeffs, oracles.canonical_coeffs),
+    ]
+    for packed, oracle in stages:
+        got, want = packed(n), oracle(n)
+        assert got == want, (n, packed.__name__)
+        assert list(got) == list(want), (n, packed.__name__)
+
+
+def test_packed_stages_at_other_widths():
+    # the same solve at 16-bit, 32-bit and 128-bit slots; 8-bit slots are
+    # refused by the proven bound
+    w = oracles.bar_transition_matrix(4)
+    z = oracles.canonical_transition_matrix(4)
+    for width in (16, 32, 128):
+        assert expansion._bar_matrix(4, width) == w
+        assert expansion._canonical_matrix(4, w, width) == z
+        assert (expansion._canonical_coeffs(4, z, width)
+                == oracles.canonical_coeffs(4))
+    with pytest.raises(ArithmeticError, match="does not fit 8-bit slots"):
+        expansion._canonical_matrix(4, w, 8)
+
+
+LABEL = ("Z", 5, ((1, 1, 1, 1), (0, 0, 0, 0)))
+
+
+def pack(terms, width=64):
+    return expansion._pack(terms, width, LABEL)
+
+
+def test_kernel_round_trip():
+    a = v_power(-4) * qfact(4) - 5 * qint(3)
+    b = VINV_MINUS_V ** 3 * qbinom(6, 3)
+    lo, slots = expansion._dot([(pack(a._terms), pack(b._terms)),
+                                (pack({2: -7}), expansion._UNIT)], 64, LABEL)
+    assert LaurentPoly(expansion._terms(lo, slots)) == a * b - 7 * v_power(2)
+
+
+def test_kernel_refuses_slot_bound():
+    big = pack({0: 1 << 40, 2: -1})
+    with pytest.raises(ArithmeticError, match=r"entry .* does not fit"):
+        pack({0: 1 << 62})
+    with pytest.raises(ArithmeticError, match=r"Z entry .* 64-bit slots"):
+        expansion._dot([(big, big)], 64, LABEL)
+    lo, slots = expansion._dot([(pack(p, 128), pack(p, 128))
+                                for p in [{0: 1 << 40, 2: -1}]], 128, LABEL)
+    assert expansion._terms(lo, slots) == {0: 1 << 80, 2: -(2 << 40), 4: 1}
+
+
+def test_widening_retries_wider_slots():
+    widths = []
+
+    def stage(width):
+        widths.append(width)
+        if width < 256:
+            raise expansion._SlotBoundError("too narrow")
+        return width
+
+    assert expansion._widening(stage) == 256
+    assert widths == [64, 128, 256]
+
+
+def test_kernel_refuses_near_limit_slot():
+    limit = 1 << 62
+    for coeff in (limit, -limit - 1, limit << 1):
+        value = (coeff << 64) + 3  # slots 3, coeff on the lattice 0, 2
+        with pytest.raises(ArithmeticError, match="within 2 bits of the"):
+            expansion._decode(value, 0, 2, 64, LABEL)
+    assert list(expansion._decode((-limit << 64) + 3, 0, 2, 64,
+                                  LABEL)) == [3, -limit]
+    assert list(expansion._decode(((limit - 1) << 64) - 3, 0, 2, 64,
+                                  LABEL)) == [-3, limit - 1]
+
+
+def test_kernel_refuses_mixed_parity():
+    with pytest.raises(ArithmeticError, match="Z entry .* mixes parity"):
+        pack({0: 1, 1: 1})
+    with pytest.raises(ArithmeticError, match="mixes parity"):
+        pack({0: 1, 3: 1, 4: 1})
+    even, odd = pack({0: 1, 2: 1}), pack({1: 1})
+    with pytest.raises(ArithmeticError, match="mixes parity"):
+        expansion._dot([(even, expansion._UNIT), (odd, expansion._UNIT)],
+                       64, LABEL)
