@@ -189,7 +189,7 @@ def _descending(keys):
 _TYPECODES = {8 * array(code).itemsize: code for code in "bhiq"}
 
 #: Slot width the stages start from; they double it on a bound refusal.
-_START_WIDTH = 64
+_START_WIDTH = 32
 
 #: The packed constant 1, to put a single entry into a sum of products.
 _UNIT = (1, 0, 0, 1)
@@ -272,9 +272,16 @@ def _decode(value: int, lo: int, hi: int, width: int, label):
             for i in range(0, len(raw), size)]
 
 
+@lru_cache(maxsize=None)
+def _lattice(lo: int, count: int) -> tuple:
+    """The exponents lo, lo + 2, ... of count slots.  Every entry decoded on
+    the same lattice shares these int objects as its keys."""
+    return tuple(range(lo, lo + 2 * count, 2))
+
+
 def _terms(lo: int, slots) -> dict:
     """{exponent: coeff} of the nonzero slots from v^lo upwards."""
-    terms = dict(zip(range(lo, lo + 2 * len(slots), 2), slots))
+    terms = dict(zip(_lattice(lo, len(slots)), slots))
     if 0 in slots:
         terms = {e: c for e, c in terms.items() if c}
     return terms
@@ -305,61 +312,77 @@ def _dot(pairs: list, width: int, label) -> tuple:
     return lo, _decode(total, lo, hi, width, label)
 
 
-def _widening(stage, *args):
-    """Run stage(*args, width) from the start width, doubling the slot width
-    each time the kernel refuses a coefficient bound."""
+def _widening(units, solve, pack) -> None:
+    """Solve the units in order on the kernel, from _START_WIDTH-bit slots up.
+
+    pack(width) packs the state the units share and solve(unit, state,
+    width) solves one unit, all or nothing.  When the kernel refuses a
+    coefficient bound, the width doubles, the state is packed again from
+    its exact form, and that unit is solved again; finished units stand,
+    since what they produce does not depend on the width."""
     width = _START_WIDTH
-    while True:
-        try:
-            return stage(*args, width)
-        except _SlotBoundError:
-            width *= 2
+    state = None
+    for unit in units:
+        while True:
+            try:
+                if state is None:
+                    state = pack(width)
+                solve(unit, state, width)
+                break
+            except _SlotBoundError:
+                width *= 2
+                state = None
 
 
 # ---------------------------------------------------------------------------
 # the three expansion stages
 # ---------------------------------------------------------------------------
 
-def _bar_matrix(n: int, width: int) -> dict:
-    """W on the packed kernel.  A depth-first walk over the coordinates of
-    y multiplies memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of
-    the closed form into shared prefix products; g_n is folded into the
-    factor for k = n - 1, so each entry costs about one multiply."""
-    factors = {}
+def _bar_matrix(n: int) -> dict:
+    """W on the packed kernel, one column x at a time.  A depth-first walk
+    over the coordinates of y multiplies memoized local factors
+    g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed form into shared prefix
+    products; g_n is folded into the factor for k = n - 1, so each entry
+    costs about one multiply."""
+    out = {}
 
     def local(xp, xk, dp, dk):
         a = n + 1 - xp - xk
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def factor(k, xe, dp, dk):
-        key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
-        if key not in factors:
-            g = local(xe[k - 1], xe[k], dp, dk)
-            if k == n - 1:
-                g = g * local(xe[k], 0, dk, 0)
-            factors[key] = g and _pack(g._terms, width, ("W factor", n, key))
-        return factors[key]
-
-    out = {}
-    for x in ptuples(n):
+    def column(x, factors, width):
         xe = padded(n, x)
+        found = {}
+
+        def factor(k, dp, dk):
+            key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
+            if key not in factors:
+                g = local(xe[k - 1], xe[k], dp, dk)
+                if k == n - 1:
+                    g = g * local(xe[k], 0, dk, 0)
+                factors[key] = g and _pack(g._terms, width,
+                                           ("W factor", n, key))
+            return factors[key]
 
         def walk(k, y, dp, value, lo, hi, norm):
             if k == n:
                 label = ("W", n, (x, y))
                 _check_bound(norm, width, label)
-                out[(x, y)] = _raw(_terms(lo, _decode(value, lo, hi, width,
-                                                      label)))
+                found[(x, y)] = _raw(_terms(lo, _decode(value, lo, hi, width,
+                                                        label)))
                 return
             for yk in range(xe[k] + 1):
                 dk = xe[k] - yk
-                g = factor(k, xe, dp, dk)
+                g = factor(k, dp, dk)
                 if g:
                     walk(k + 1, y + (yk,), dk, value * g[0], lo + g[1],
                          hi + g[2], norm * g[3])
 
         walk(1, (), 0, *_UNIT)
+        out.update(found)
+
+    _widening(ptuples(n), column, lambda width: {})
     return out
 
 
@@ -368,16 +391,22 @@ def bar_transition_matrix(n: int) -> dict:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
     the parameter set; entry by entry equal to bar_transition_coeff.  Treat
     the returned dict as read-only."""
-    return _widening(_bar_matrix, n)
+    return _bar_matrix(n)
 
 
-def _canonical_matrix(n: int, w: dict, width: int) -> dict:
-    w_to = {}  # y -> {m: packed w(m, y)}
-    for (m, y), p in w.items():
-        w_to.setdefault(y, {})[m] = _pack(p._terms, width, ("W", n, (m, y)))
+def _canonical_matrix(n: int, w: dict) -> dict:
+    """Z on the packed kernel, one column x at a time."""
     out = {}
-    for x in ptuples(n):
-        out[(x, x)] = ONE
+
+    def pack(width):
+        w_to = {}  # y -> {m: packed w(m, y)}
+        for (m, y), p in w.items():
+            w_to.setdefault(y, {})[m] = _pack(p._terms, width,
+                                              ("W", n, (m, y)))
+        return w_to
+
+    def column(x, w_to, width):
+        found = {(x, x): ONE}
         bars = {}  # packed bar images of the entries solved in this column
         targets = [y for y in _below(x) if y != x]
         for y in _descending(targets):
@@ -401,11 +430,14 @@ def _canonical_matrix(n: int, w: dict, width: int) -> dict:
                     f"n={n}: rhs = {_raw(rhs)}")
             z = {e: c for e, c in rhs.items() if e < 0}
             if z:
-                out[(x, y)] = _raw(z)
+                found[(x, y)] = _raw(z)
                 # bar(z) = -(positive part of rhs), read off the slots
                 first = (2 - lo) // 2
                 bars[y] = _neg(_pack_slots(slots[first:], lo + 2 * first,
                                            width, label))
+        out.update(found)
+
+    _widening(ptuples(n), column, pack)
     return out
 
 
@@ -423,17 +455,26 @@ def canonical_transition_matrix(n: int) -> dict:
     W is read through the name bar_transition_matrix.  Absent keys are
     zero.  Treat the returned dict as read-only.
     """
-    return _widening(_canonical_matrix, n, bar_transition_matrix(n))
+    return _canonical_matrix(n, bar_transition_matrix(n))
 
 
-def _canonical_coeffs(n: int, zeta: dict, width: int) -> dict:
-    z_to = {}  # y -> {x: packed z(x, y)}
-    for (x, y), p in zeta.items():
-        z_to.setdefault(y, {})[x] = _pack(p._terms, width, ("Z", n, (x, y)))
+def _canonical_coeffs(n: int, zeta: dict) -> dict:
+    """mu on the packed kernel, one coefficient at a time."""
     bounds = upper_bounds(n)
-    minus_mu = {}  # packed -mu(x) of the coefficients found so far
     out = {}
-    for y in _descending(ptuples(n)):
+
+    def pack(width):
+        z_to = {}  # y -> {x: packed z(x, y)}
+        for (x, y), p in zeta.items():
+            z_to.setdefault(y, {})[x] = _pack(p._terms, width,
+                                              ("Z", n, (x, y)))
+        # packed -mu(x) of the coefficients found so far
+        minus_mu = {x: _neg(_pack(c._terms, width, ("mu", n, x)))
+                    for x, c in out.items()}
+        return z_to, minus_mu
+
+    def coeff(y, state, width):
+        z_to, minus_mu = state
         label = ("mu", n, y)
         pbw = pbw_coeff(n, y)
         pairs = [(_pack(pbw._terms, width, label), _UNIT)] if pbw else []
@@ -446,12 +487,14 @@ def _canonical_coeffs(n: int, zeta: dict, width: int) -> dict:
                 if z is not None:
                     pairs.append((mu_x, z))
         if not pairs:
-            continue
+            return
         lo, slots = _dot(pairs, width, label)
         acc = _terms(lo, slots)
         if acc:
-            out[y] = _raw(acc)
             minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
+            out[y] = _raw(acc)
+
+    _widening(_descending(ptuples(n)), coeff, pack)
     return out
 
 
@@ -465,4 +508,4 @@ def canonical_coeffs(n: int) -> dict:
     keys.  Zero coefficients are dropped.  Treat the returned dict as
     read-only.
     """
-    return _widening(_canonical_coeffs, n, canonical_transition_matrix(n))
+    return _canonical_coeffs(n, canonical_transition_matrix(n))

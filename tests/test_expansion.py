@@ -257,18 +257,16 @@ def test_packed_stages_match_oracles(n):
         assert list(got) == list(want), (n, packed.__name__)
 
 
-def test_packed_stages_at_other_widths():
-    # the same solve at 16-bit, 32-bit and 128-bit slots; 8-bit slots are
-    # refused by the proven bound
-    w = oracles.bar_transition_matrix(4)
-    z = oracles.canonical_transition_matrix(4)
-    for width in (16, 32, 128):
-        assert expansion._bar_matrix(4, width) == w
-        assert expansion._canonical_matrix(4, w, width) == z
-        assert (expansion._canonical_coeffs(4, z, width)
-                == oracles.canonical_coeffs(4))
-    with pytest.raises(ArithmeticError, match="does not fit 8-bit slots"):
-        expansion._canonical_matrix(4, w, 8)
+@pytest.mark.parametrize("width", [8, 16, 64, 128])
+def test_packed_stages_at_other_widths(monkeypatch, width):
+    # 8-bit slots are refused by the proven bound and widened partway
+    # through each stage; 128-bit slots take the generic byte path
+    monkeypatch.setattr(expansion, "_START_WIDTH", width)
+    w = oracles.bar_transition_matrix(5)
+    z = oracles.canonical_transition_matrix(5)
+    assert expansion._bar_matrix(5) == w
+    assert expansion._canonical_matrix(5, w) == z
+    assert expansion._canonical_coeffs(5, z) == oracles.canonical_coeffs(5)
 
 
 LABEL = ("Z", 5, ((1, 1, 1, 1), (0, 0, 0, 0)))
@@ -297,17 +295,24 @@ def test_kernel_refuses_slot_bound():
     assert expansion._terms(lo, slots) == {0: 1 << 80, 2: -(2 << 40), 4: 1}
 
 
-def test_widening_retries_wider_slots():
-    widths = []
+def test_widening_retries_only_the_refused_unit():
+    calls, packs = [], []
+    start = expansion._START_WIDTH
 
-    def stage(width):
-        widths.append(width)
-        if width < 256:
+    def pack(width):
+        packs.append(width)
+        return f"state@{width}"
+
+    def solve(unit, state, width):
+        calls.append((unit, state))
+        if unit == "b" and width < 4 * start:
             raise expansion._SlotBoundError("too narrow")
-        return width
 
-    assert expansion._widening(stage) == 256
-    assert widths == [64, 128, 256]
+    expansion._widening(["a", "b", "c"], solve, pack)
+    assert packs == [start, 2 * start, 4 * start]
+    assert calls == [("a", f"state@{start}"), ("b", f"state@{start}"),
+                     ("b", f"state@{2 * start}"), ("b", f"state@{4 * start}"),
+                     ("c", f"state@{4 * start}")]
 
 
 def test_kernel_refuses_near_limit_slot():
