@@ -312,6 +312,15 @@ def _dot(pairs: list, width: int, label) -> tuple:
     return lo, _decode(total, lo, hi, width, label)
 
 
+def _pack_by_target(matrix: dict, width: int, stage: str, n: int) -> dict:
+    """Pack the entries of {(x, y): coeff} as {y: {x: packed}}."""
+    by_target = {}
+    for (x, y), p in matrix.items():
+        by_target.setdefault(y, {})[x] = _pack(p._terms, width,
+                                               (stage, n, (x, y)))
+    return by_target
+
+
 def _widening(units, solve, pack) -> None:
     """Solve the units in order on the kernel, from _START_WIDTH-bit slots up.
 
@@ -399,11 +408,7 @@ def _canonical_matrix(n: int, w: dict) -> dict:
     out = {}
 
     def pack(width):
-        w_to = {}  # y -> {m: packed w(m, y)}
-        for (m, y), p in w.items():
-            w_to.setdefault(y, {})[m] = _pack(p._terms, width,
-                                              ("W", n, (m, y)))
-        return w_to
+        return _pack_by_target(w, width, "W", n)
 
     def column(x, w_to, width):
         found = {(x, x): ONE}
@@ -464,14 +469,10 @@ def _canonical_coeffs(n: int, zeta: dict) -> dict:
     out = {}
 
     def pack(width):
-        z_to = {}  # y -> {x: packed z(x, y)}
-        for (x, y), p in zeta.items():
-            z_to.setdefault(y, {})[x] = _pack(p._terms, width,
-                                              ("Z", n, (x, y)))
         # packed -mu(x) of the coefficients found so far
         minus_mu = {x: _neg(_pack(c._terms, width, ("mu", n, x)))
                     for x, c in out.items()}
-        return z_to, minus_mu
+        return _pack_by_target(zeta, width, "Z", n), minus_mu
 
     def coeff(y, state, width):
         z_to, minus_mu = state

@@ -210,7 +210,7 @@ def test_small_rank_coeffs_palindromic():
     for n in range(1, 7):
         for y, c in canonical_coeffs(n).items():
             assert c == c.bar(), (n, y)
-            assert all(int(a) >= 0 for _, a in c.to_pairs()), (n, y)
+            assert min(c.coefficients_descending()) >= 0, (n, y)
 
 
 def test_degree_values():
@@ -290,8 +290,8 @@ def test_kernel_refuses_slot_bound():
         pack({0: 1 << 62})
     with pytest.raises(ArithmeticError, match=r"Z entry .* 64-bit slots"):
         expansion._dot([(big, big)], 64, LABEL)
-    lo, slots = expansion._dot([(pack(p, 128), pack(p, 128))
-                                for p in [{0: 1 << 40, 2: -1}]], 128, LABEL)
+    wide = pack({0: 1 << 40, 2: -1}, 128)
+    lo, slots = expansion._dot([(wide, wide)], 128, LABEL)
     assert expansion._terms(lo, slots) == {0: 1 << 80, 2: -(2 << 40), 4: 1}
 
 
