@@ -40,6 +40,7 @@ from .combinatorics import (
 from .duality import (
     dual_rank_tuple,
     dual_rank_tuple_general,
+    dual_rank_tuple_near_simple,
     kz_rank_general,
     kz_rank_near_simple,
     kz_rank_simple,
@@ -79,7 +80,7 @@ __all__ = [
     "motzkin_number", "bell_number",
     "monotone_maps", "kz_rank_general", "kz_rank_near_simple",
     "kz_rank_simple", "next_neighbor_rank", "dual_rank_tuple",
-    "dual_rank_tuple_general",
+    "dual_rank_tuple_general", "dual_rank_tuple_near_simple",
     "rank2_straighten", "two_row_pbw_expansion", "staircase_exponents",
     "pbw_coeff", "pbw_coeff_degree", "pbw_coeff_degree_gap",
     "bar_transition_coeff", "bar_transition_matrix",

@@ -22,8 +22,12 @@ from .combinatorics import (
     motzkin_paths,
     path_to_multisegment,
 )
-from .duality import dual_rank_tuple, dual_rank_tuple_general, kz_rank_near_simple
-from .expansion import canonical_coeffs
+from .duality import (
+    dual_rank_tuple,
+    dual_rank_tuple_general,
+    dual_rank_tuple_near_simple,
+)
+from .expansion import canonical_coeffs, solve_products
 from .laurent import LaurentPoly, qbinom, qfact, qint
 from .supports import (
     all_checks_pass,
@@ -234,11 +238,7 @@ def cmd_dual(args) -> int:
               f"pass --max-n {m.n} to override", file=sys.stderr)
         return 2
     general = dual_rank_tuple_general(m)
-    near = None
-    if m.is_near_simple():
-        near = RankTuple(m.n, {(i, j): kz_rank_near_simple(m, i, j)
-                               for i in range(1, m.n + 1)
-                               for j in range(i, m.n + 1)})
+    near = dual_rank_tuple_near_simple(m) if m.is_near_simple() else None
     match = None if near is None else (near == general)
     if args.format == "json":
         _emit_json({
@@ -350,8 +350,12 @@ def _size_limit(args) -> int | None:
         if args.max_n < 1:
             return None
         if args.max_n > DEFAULT_MAX_N:
+            cost = ""
+            if args.command in ("expand", "verify") and args.n >= 1:
+                cost = (f": the Z solve at n={args.n} takes "
+                        f"{solve_products(args.n):,} Laurent products")
             print(f"warning: size cap raised to {args.max_n}; expansion cost "
-                  f"grows rapidly with n", file=sys.stderr)
+                  f"grows rapidly with n{cost}", file=sys.stderr)
         cap = args.max_n
     return cap
 

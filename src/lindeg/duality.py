@@ -9,6 +9,8 @@ Two implementations of the dual rank tuple are provided on purpose:
   has length 1 or 2: the grid minimum collapses to
   min over i <= p <= q <= r <= j of (m_{p-1,p} + m_{q,q} + m_{r,r+1}),
   with out-of-range multiplicities read as zero.
+  ``dual_rank_tuple_near_simple`` evaluates it for a whole rank tuple in
+  O(n^2), one sweep over j per row i.
 
 For parameter tuples the near-simple form specializes further; the package
 never computes the duality as a map on multisegments, only its rank tuples,
@@ -127,9 +129,36 @@ def dual_rank_tuple(n: int, x) -> RankTuple:
     """The full dual rank tuple of x', assembled from the closed form."""
     if not in_parameter_set(n, x):
         raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
-    m = path_to_multisegment(n, x)
-    return RankTuple(n, {(i, j): kz_rank_near_simple(m, i, j)
-                         for i in range(1, n + 1) for j in range(i, n + 1)})
+    return dual_rank_tuple_near_simple(path_to_multisegment(n, x))
+
+
+def dual_rank_tuple_near_simple(m: Multisegment) -> RankTuple:
+    """The full dual rank tuple of a near-simple multisegment; entry by
+    entry equal to kz_rank_near_simple.
+
+    Row i sweeps j upwards and keeps the running minima over
+    i <= p <= q <= r <= j of m_{p-1,p}, of m_{p-1,p} + m_{q,q}, and of the
+    full sum m_{p-1,p} + m_{q,q} + m_{r,r+1}; the last one is r_ij.
+    """
+    if not m.is_near_simple():
+        raise ValueError("closed form requires segments of length at most 2")
+    n = m.n
+    mult = m.multiplicity
+    heads = [mult(k - 1, k) for k in range(n + 1)]
+    mids = [mult(k, k) for k in range(n + 1)]
+    tails = [mult(k, k + 1) for k in range(n + 1)]
+    r = {}
+    for i in range(1, n + 1):
+        head = heads[i]
+        mid = head + mids[i]
+        best = mid + tails[i]
+        r[(i, i)] = best
+        for j in range(i + 1, n + 1):
+            head = min(head, heads[j])
+            mid = min(mid, head + mids[j])
+            best = min(best, mid + tails[j])
+            r[(i, j)] = best
+    return RankTuple(n, r)
 
 
 def dual_rank_tuple_general(m: Multisegment) -> RankTuple:

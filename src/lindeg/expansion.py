@@ -22,6 +22,26 @@ words, because closed forms exist for every structure constant needed:
 
 All coefficients are exact Laurent polynomials; every step is deterministic
 (keys are processed by descending coordinate sum, ties lexicographic).
+
+Reversal symmetry.  Write rev x for the reversed tuple.  Then
+W(x, y) = W(rev x, rev y), Z(x, y) = Z(rev x, rev y) and mu(y) = mu(rev y),
+and each stage computes only one of every mirrored pair:
+
+* Reversal sends a_k to a_{n+1-k} and d_k to d_{n-k}, so for (rev x,
+  rev y) the factor [a_k + d_k + d_{k-1} choose d_k] [a_k + d_{k-1} choose
+  d_{k-1}] of ``bar_transition_coeff`` becomes, reindexed by k -> n + 1 - k,
+  [a_k + d_k + d_{k-1} choose d_{k-1}] [a_k + d_k choose d_k].  Both equal
+  the q-multinomial [a_k + d_k + d_{k-1}]! / ([a_k]! [d_k]! [d_{k-1}]!).
+  The other factors are symmetric sums and products of the d_k.
+* P(n), the componentwise order, the box [y, x] and the coordinate sum are
+  reversal-invariant, and the triangular system for Z has a unique
+  solution, so Z inherits the symmetry from W.
+* ``pbw_coeff`` is symmetric because [N choose K] = [N choose N - K], and
+  ``upper_bounds`` is a palindrome, so mu inherits it from Z.
+
+A column x with rev x < x (lexicographically) of W or Z, and a coefficient
+mu(y) with rev y < y, is copied from its mirror, which comes first in the
+order the stage works in; the copy shares the mirror's objects.
 """
 
 from __future__ import annotations
@@ -29,6 +49,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
+from types import MappingProxyType
 
 from .combinatorics import leq, padded, ptuples, upper_bounds
 from .laurent import ONE, LaurentPoly, _raw, qbinom, qfact, v_power
@@ -154,6 +175,20 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     return coeff
 
 
+def solve_products(n: int) -> int:
+    """Number of Laurent products in the solve for Z over P(n): the sum over
+    pairs y < x of prod_k (x_k - y_k + 1) - 2, the box [y, x] less its two
+    ends.  The sums over x and y factor coordinate by coordinate, so this is
+    prod C(b+3, 3) - 2 prod C(b+2, 2) + prod (b + 1) over the upper bounds
+    b = min(k, n - k), with no enumeration of P(n)."""
+    triples = pairs = size = 1
+    for b in upper_bounds(n):
+        triples *= (b + 1) * (b + 2) * (b + 3) // 6
+        pairs *= (b + 1) * (b + 2) // 2
+        size *= b + 1
+    return triples - 2 * pairs + size
+
+
 def _below(x):
     """All tuples 0 <= m <= x componentwise, lexicographic."""
     return itertools.product(*[range(c + 1) for c in x])
@@ -183,6 +218,10 @@ def _descending(keys):
 # absolute value.  A coefficient of sum a*b is at most sum ||a|| ||b||, and
 # that proven bound is held to width - 2 bits before anything is decoded;
 # the decoder checks every slot against the same margin.
+#
+# At one width, (value, lo) determines an entry: trailing zero slots do not
+# change value.  The stages intern their results by it, so equal entries are
+# one object, decoded once and packed once by the next stage.
 # ---------------------------------------------------------------------------
 
 #: Array typecode of a signed machine word, by slot width in bits.
@@ -312,13 +351,27 @@ def _dot(pairs: list, width: int, label) -> tuple:
     return lo, _decode(total, lo, hi, width, label)
 
 
-def _pack_by_target(matrix: dict, width: int, stage: str, n: int) -> dict:
-    """Pack the entries of {(x, y): coeff} as {y: {x: packed}}."""
+def _pack_by_target(matrix, width: int, stage: str, n: int) -> dict:
+    """Pack the entries of {(x, y): coeff} as {y: {x: packed}}, each
+    distinct entry object once."""
     by_target = {}
+    packed = {}  # by id: matrix keeps every entry alive during the call
     for (x, y), p in matrix.items():
-        by_target.setdefault(y, {})[x] = _pack(p._terms, width,
-                                               (stage, n, (x, y)))
+        q = packed.get(id(p))
+        if q is None:
+            q = packed[id(p)] = _pack(p._terms, width, (stage, n, (x, y)))
+        by_target.setdefault(y, {})[x] = q
     return by_target
+
+
+def _copy_mirror(matrix: dict, x, targets) -> None:
+    """Fill column x of {(x, y): coeff} from the finished column rev x, in
+    the order of targets, sharing its entry objects."""
+    rx = x[::-1]
+    for y in targets:
+        entry = matrix.get((rx, y[::-1]))
+        if entry is not None:
+            matrix[(x, y)] = entry
 
 
 def _widening(units, solve, pack) -> None:
@@ -352,7 +405,7 @@ def _bar_matrix(n: int) -> dict:
     over the coordinates of y multiplies memoized local factors
     g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed form into shared prefix
     products; g_n is folded into the factor for k = n - 1, so each entry
-    costs about one multiply."""
+    costs about one multiply.  Mirrored columns are copied."""
     out = {}
 
     def local(xp, xk, dp, dk):
@@ -360,7 +413,11 @@ def _bar_matrix(n: int) -> dict:
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def column(x, factors, width):
+    def column(x, state, width):
+        if x[::-1] < x:
+            _copy_mirror(out, x, _below(x))
+            return
+        factors, interned = state
         xe = padded(n, x)
         found = {}
 
@@ -378,8 +435,11 @@ def _bar_matrix(n: int) -> dict:
             if k == n:
                 label = ("W", n, (x, y))
                 _check_bound(norm, width, label)
-                found[(x, y)] = _raw(_terms(lo, _decode(value, lo, hi, width,
-                                                        label)))
+                w = interned.get((value, lo))
+                if w is None:
+                    w = interned[(value, lo)] = _raw(_terms(
+                        lo, _decode(value, lo, hi, width, label)))
+                found[(x, y)] = w
                 return
             for yk in range(xe[k] + 1):
                 dk = xe[k] - yk
@@ -391,30 +451,35 @@ def _bar_matrix(n: int) -> dict:
         walk(1, (), 0, *_UNIT)
         out.update(found)
 
-    _widening(ptuples(n), column, lambda width: {})
+    _widening(ptuples(n), column, lambda width: ({}, {}))
     return out
 
 
 @lru_cache(maxsize=None)
-def bar_transition_matrix(n: int) -> dict:
+def bar_transition_matrix(n: int) -> MappingProxyType:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
-    the parameter set; entry by entry equal to bar_transition_coeff.  Treat
-    the returned dict as read-only."""
-    return _bar_matrix(n)
+    the parameter set; entry by entry equal to bar_transition_coeff.  The
+    cached mapping is read-only."""
+    return MappingProxyType(_bar_matrix(n))
 
 
-def _canonical_matrix(n: int, w: dict) -> dict:
-    """Z on the packed kernel, one column x at a time."""
+def _canonical_matrix(n: int, w) -> dict:
+    """Z on the packed kernel, one column x at a time.  Mirrored columns
+    are copied."""
     out = {}
 
     def pack(width):
-        return _pack_by_target(w, width, "W", n)
+        return _pack_by_target(w, width, "W", n), {}
 
-    def column(x, w_to, width):
+    def column(x, state, width):
+        targets = _descending([y for y in _below(x) if y != x])
+        if x[::-1] < x:
+            _copy_mirror(out, x, [x] + targets)
+            return
+        w_to, interned = state
         found = {(x, x): ONE}
         bars = {}  # packed bar images of the entries solved in this column
-        targets = [y for y in _below(x) if y != x]
-        for y in _descending(targets):
+        for y in targets:
             w_y = w_to.get(y, {})
             pairs = [(w_y[x], _UNIT)] if x in w_y else []
             # bars holds neither x nor the unsolved y: the box ends drop out
@@ -433,13 +498,17 @@ def _canonical_matrix(n: int, w: dict) -> dict:
                 raise ArithmeticError(
                     f"bar-antisymmetry failed solving entry ({x}, {y}) at "
                     f"n={n}: rhs = {_raw(rhs)}")
-            z = {e: c for e, c in rhs.items() if e < 0}
-            if z:
-                found[(x, y)] = _raw(z)
-                # bar(z) = -(positive part of rhs), read off the slots
+            if rhs:
+                # bar(z) = -(positive part of rhs), read off the slots;
+                # z and bar(z) determine each other, so bar(z) interns z
                 first = (2 - lo) // 2
-                bars[y] = _neg(_pack_slots(slots[first:], lo + 2 * first,
-                                           width, label))
+                zbar = _neg(_pack_slots(slots[first:], lo + 2 * first,
+                                        width, label))
+                hit = interned.get(zbar[:2])
+                if hit is None:
+                    z = _raw({e: c for e, c in rhs.items() if e < 0})
+                    hit = interned[zbar[:2]] = z, zbar
+                found[(x, y)], bars[y] = hit
         out.update(found)
 
     _widening(ptuples(n), column, pack)
@@ -447,7 +516,7 @@ def _canonical_matrix(n: int, w: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def canonical_transition_matrix(n: int) -> dict:
+def canonical_transition_matrix(n: int) -> MappingProxyType:
     """Canonical-to-PBW transition coefficients {(x, y): coeff}, y <= x.
 
     Diagonal entries are 1.  Each off-diagonal entry z solves
@@ -458,13 +527,14 @@ def canonical_transition_matrix(n: int) -> dict:
     side with a constant term, or one that is not bar-antisymmetric, means
     the bar-transition closed form is broken, and raises ArithmeticError.
     W is read through the name bar_transition_matrix.  Absent keys are
-    zero.  Treat the returned dict as read-only.
+    zero.  The cached mapping is read-only.
     """
-    return _canonical_matrix(n, bar_transition_matrix(n))
+    return MappingProxyType(_canonical_matrix(n, bar_transition_matrix(n)))
 
 
-def _canonical_coeffs(n: int, zeta: dict) -> dict:
-    """mu on the packed kernel, one coefficient at a time."""
+def _canonical_coeffs(n: int, zeta) -> dict:
+    """mu on the packed kernel, one coefficient at a time.  Mirrored
+    coefficients are copied."""
     bounds = upper_bounds(n)
     out = {}
 
@@ -476,6 +546,12 @@ def _canonical_coeffs(n: int, zeta: dict) -> dict:
 
     def coeff(y, state, width):
         z_to, minus_mu = state
+        ry = y[::-1]
+        if ry < y:
+            if ry in out:
+                out[y] = out[ry]
+                minus_mu[y] = minus_mu[ry]
+            return
         label = ("mu", n, y)
         pbw = pbw_coeff(n, y)
         pairs = [(_pack(pbw._terms, width, label), _UNIT)] if pbw else []
@@ -500,13 +576,13 @@ def _canonical_coeffs(n: int, zeta: dict) -> dict:
 
 
 @lru_cache(maxsize=None)
-def canonical_coeffs(n: int) -> dict:
+def canonical_coeffs(n: int) -> MappingProxyType:
     """Canonical-basis coefficients {y: coeff} of the staircase monomial.
 
     Back-substitution through the unitriangular canonical-to-PBW matrix:
     starting from the maximal parameter tuple, coeff(y) is the PBW
     coefficient of y minus the already-known contributions of all larger
-    keys.  Zero coefficients are dropped.  Treat the returned dict as
-    read-only.
+    keys.  Zero coefficients are dropped.  The cached mapping is read-only.
     """
-    return _canonical_coeffs(n, canonical_transition_matrix(n))
+    return MappingProxyType(
+        _canonical_coeffs(n, canonical_transition_matrix(n)))

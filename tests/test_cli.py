@@ -198,6 +198,21 @@ def test_max_n_override_warns(capsys):
     assert code == 0
     assert "warning: size cap raised" in err
     assert len(out.splitlines()) == 1 + 835  # header plus Motzkin number 9
+    assert "products" not in err  # motzkin does not run the expansion
+
+
+def test_max_n_warning_states_solve_cost(capsys, monkeypatch):
+    from lindeg import cli
+
+    def passing(n):  # stands in for the minutes-long verify 8
+        return {"n": n, "motzkin_count": 0, "supports": [], "checks": []}
+
+    monkeypatch.setattr(cli, "verify_supports", passing)
+    code, _, err = run_cli(capsys, "verify", "8", "--max-n", "9")
+    assert code == 0
+    assert err == ("warning: size cap raised to 9; expansion cost grows "
+                   "rapidly with n: the Z solve at n=8 takes 21,430,880 "
+                   "Laurent products\n")
 
 
 def test_byte_identical_reruns(capsys):

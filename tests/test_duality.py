@@ -6,6 +6,7 @@ import pytest
 
 from lindeg.combinatorics import (
     Multisegment,
+    RankTuple,
     motzkin_paths,
     path_to_multisegment,
     ptuples,
@@ -13,6 +14,7 @@ from lindeg.combinatorics import (
 from lindeg.duality import (
     dual_rank_tuple,
     dual_rank_tuple_general,
+    dual_rank_tuple_near_simple,
     kz_rank_general,
     kz_rank_near_simple,
     kz_rank_simple,
@@ -90,6 +92,18 @@ def test_general_equals_near_simple_with_free_diagonal():
         assert dual_rank_tuple_general(m).r == {
             (i, j): kz_rank_near_simple(m, i, j)
             for i in range(1, m.n + 1) for j in range(i, m.n + 1)}
+        assert dual_rank_tuple_near_simple(m) == dual_rank_tuple_general(m)
+
+
+def test_sweep_matches_per_entry_form():
+    # the O(n^2) row sweep against the per-entry closed form
+    for n in range(1, 9):
+        for y in ptuples(n):
+            m = path_to_multisegment(n, y)
+            per_entry = RankTuple(n, {
+                (i, j): kz_rank_near_simple(m, i, j)
+                for i in range(1, n + 1) for j in range(i, n + 1)})
+            assert dual_rank_tuple(n, y) == per_entry, (n, y)
 
 
 def test_simple_values():
@@ -139,6 +153,8 @@ def test_errors():
     long_segment = Multisegment(3, {(1, 3): 1})
     with pytest.raises(ValueError):
         kz_rank_near_simple(long_segment, 1, 2)
+    with pytest.raises(ValueError):
+        dual_rank_tuple_near_simple(long_segment)
     # general formula still works: the only summands are point
     # multiplicities, all zero here
     assert kz_rank_general(long_segment, 1, 3) == 0

@@ -14,6 +14,7 @@ from lindeg.expansion import (
     pbw_coeff_degree,
     pbw_coeff_degree_gap,
     rank2_straighten,
+    solve_products,
     staircase_exponents,
     two_row_pbw_expansion,
 )
@@ -239,6 +240,75 @@ def test_degree_gap():
             for z in pset:
                 if leq(y, z) and z != y:
                     assert pbw_coeff_degree_gap(n, y, z) >= 0, (n, y, z)
+
+
+# -- reversal symmetry ---------------------------------------------------------
+
+def rev(t):
+    return t[::-1]
+
+
+def test_closed_forms_reversal_symmetric():
+    for n in range(1, 7):
+        for y in ptuples(n):
+            assert pbw_coeff(n, y) == pbw_coeff(n, rev(y)), (n, y)
+        # the oracle W is bar_transition_coeff on every pair y <= x
+        for (x, y), w in oracles.bar_transition_matrix(n).items():
+            assert bar_transition_coeff(n, rev(x), rev(y)) == w, (n, x, y)
+
+
+def test_oracle_z_and_mu_reversal_symmetric():
+    for n in range(1, 7):
+        z = oracles.canonical_transition_matrix(n)
+        assert {(rev(x), rev(y)) for x, y in z} == set(z)
+        for (x, y), entry in z.items():
+            assert z[(rev(x), rev(y))] == entry, (n, x, y)
+        mu = oracles.canonical_coeffs(n)
+        assert {rev(y): c for y, c in mu.items()} == mu
+
+
+def test_mirrored_entries_are_shared():
+    # the mirror path copies objects; at n = 6 every stage runs at one
+    # slot width, so interning leaves one object per distinct value
+    n = 6
+    w, z = bar_transition_matrix(n), canonical_transition_matrix(n)
+    for matrix in (w, z):
+        for (x, y), entry in matrix.items():
+            assert matrix[(rev(x), rev(y))] is entry, (x, y)
+        distinct = {tuple(sorted(e._terms.items())) for e in matrix.values()}
+        assert len({id(e) for e in matrix.values()}) == len(distinct)
+    assert (len({id(e) for e in w.values()}),
+            len({id(e) for e in z.values()})) == (500, 629)
+    mu = canonical_coeffs(n)
+    for y, c in mu.items():
+        assert mu[rev(y)] is c, y
+
+
+def test_cached_results_read_only():
+    for cached, key in [(bar_transition_matrix, ((1,), (0,))),
+                        (canonical_transition_matrix, ((1,), (0,))),
+                        (canonical_coeffs, (0,))]:
+        result = cached(2)
+        with pytest.raises(TypeError):
+            result[key] = ONE
+        with pytest.raises(TypeError):
+            del result[key]
+        assert key in cached(2)
+
+
+def test_solve_products_closed_form():
+    for n in range(1, 7):
+        pset = ptuples(n)
+        count = 0
+        for x in pset:
+            for y in w_below(x):
+                if y != x:
+                    box = 1
+                    for a, b in zip(y, x):
+                        box *= b - a + 1
+                    count += box - 2
+        assert solve_products(n) == count, n
+    assert solve_products(8) == 21_430_880
 
 
 # -- packed kernel against the dict-path oracles ------------------------------
