@@ -42,6 +42,40 @@ and each stage computes only one of every mirrored pair:
 A column x with rev x < x (lexicographically) of W or Z, and a coefficient
 mu(y) with rev y < y, is copied from its mirror, which comes first in the
 order the stage works in; the copy shares the mirror's objects.
+
+Locality of Z.  With d = x - y, ``bar_transition_coeff`` is a product over
+k = 1..n of one function g(x_{k-1}, x_k, d_{k-1}, d_k) of n and two adjacent
+coordinates (padded with x_0 = x_n = d_0 = d_n = 0), the per-coordinate
+factors v^(-d_k (d_k - 1) / 2) (v^-1 - v)^(d_k) [d_k]! shared out to one
+side; g = 1 when d_{k-1} = d_k = 0.  Fix a column x.  Its entries Z(x, t)
+for t in a box [y, x] are the unique solution of the system on that box:
+Z(x, x) = 1, Z(x, t) in v^-1 Z[v^-1] for t < x, and
+Z(x, t) = sum over t <= m <= x of bar(Z(x, m)) W(m, t), because solving it
+by descending coordinate sum fixes each Z(x, t) as the only element of
+v^-1 Z[v^-1] with a given z - bar(z).  Two facts follow:
+
+* Split at a zero.  Let d_c = 0, and split tuples into the coordinates
+  left and right of c as t = (t_L, x_c, t_R); every m in [y, x] has
+  m_c = x_c.  Each factor g involves coordinates on one side of c and
+  possibly c itself, so W(m, t) = W_L(m_L, t_L) W_R(m_R, t_R) on the box,
+  each side 1 on its diagonal.  Then zeta_L(a) = Z(x, (a, x_c, x_R)) solves
+  the system on the left half, zeta_R(b) = Z(x, (x_L, x_c, b)) on the
+  right, and zeta_L(t_L) zeta_R(t_R) solves it on the box: the sum over m
+  factors into the two half sums, a product of two elements of
+  v^-1 Z[v^-1], or of one and 1, lies in v^-1 Z[v^-1].  By uniqueness
+  Z(x, t) = zeta_L(t_L) zeta_R(t_R).  Repeating this at every zero between
+  the runs (maximal blocks of nonzero coordinates) of d gives
+  Z(x, y) = prod_r Z(x, u_r), where u_r is x with y's coordinates on run r.
+* One run.  If d is nonzero exactly on the block i..j, every factor of
+  W(m, t) for m, t in [y, x] is 1 except those for k = i..j+1, which read
+  only x_{i-1}, x_{j+1}, m and t on the block.  So the system on the box,
+  and with it Z(x, y), depends only on n and the local key (x_{i-1},
+  x_{j+1}, x_i..x_j, y_i..y_j).  A pair with the reversed key (x_{j+1},
+  x_{i-1}, reversed blocks) is the mirror of one with the key itself, so
+  by the reversal symmetry it has the same entry.
+
+The Z solve box-solves one entry per reversal-canonical local key and
+builds the entries with two or more runs as products of their run factors.
 """
 
 from __future__ import annotations
@@ -49,6 +83,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from functools import lru_cache
+from operator import ne, neg
 from types import MappingProxyType
 
 from .combinatorics import leq, padded, ptuples, upper_bounds
@@ -180,7 +215,11 @@ def solve_products(n: int) -> int:
     pairs y < x of prod_k (x_k - y_k + 1) - 2, the box [y, x] less its two
     ends.  The sums over x and y factor coordinate by coordinate, so this is
     prod C(b+3, 3) - 2 prod C(b+2, 2) + prod (b + 1) over the upper bounds
-    b = min(k, n - k), with no enumeration of P(n)."""
+    b = min(k, n - k), with no enumeration of P(n).
+
+    This counts the full box sums.  The packed solve box-solves only one
+    entry per local key and multiplies out the rest (see the module
+    docstring), so it is an upper bound on the work of the Z solve."""
     triples = pairs = size = 1
     for b in upper_bounds(n):
         triples *= (b + 1) * (b + 2) * (b + 3) // 6
@@ -219,9 +258,11 @@ def _descending(keys):
 # that proven bound is held to width - 2 bits before anything is decoded;
 # the decoder checks every slot against the same margin.
 #
-# At one width, (value, lo) determines an entry: trailing zero slots do not
-# change value.  The stages intern their results by it, so equal entries are
-# one object, decoded once and packed once by the next stage.
+# At one width, (value, lo) with lo the tight low exponent determines an
+# entry: trailing zero slots do not change value.  The stages intern their
+# results by it, so equal entries are one object, decoded once and packed
+# once by the next stage.  When a stage widens, it keys its intern tables
+# again at the new width, so they keep their objects.
 # ---------------------------------------------------------------------------
 
 #: Array typecode of a signed machine word, by slot width in bits.
@@ -283,6 +324,11 @@ def _pack(terms: dict, width: int, label) -> tuple:
     return _pack_slots(slots, lo, width, label)
 
 
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The packed product of two packed entries."""
+    return a[0] * b[0], a[1] + b[1], a[2] + b[2], a[3] * b[3]
+
+
 def _neg(packed: tuple) -> tuple:
     value, lo, hi, norm = packed
     return -value, lo, hi, norm
@@ -311,11 +357,15 @@ def _decode(value: int, lo: int, hi: int, width: int, label):
             for i in range(0, len(raw), size)]
 
 
+#: One int object per exponent, shared by all lattices.
+_exponent = lru_cache(maxsize=None)(int)
+
+
 @lru_cache(maxsize=None)
 def _lattice(lo: int, count: int) -> tuple:
     """The exponents lo, lo + 2, ... of count slots.  Every entry decoded on
-    the same lattice shares these int objects as its keys."""
-    return tuple(range(lo, lo + 2 * count, 2))
+    the same lattice shares this tuple's int objects as its keys."""
+    return tuple(map(_exponent, range(lo, lo + 2 * count, 2)))
 
 
 def _terms(lo: int, slots) -> dict:
@@ -451,7 +501,15 @@ def _bar_matrix(n: int) -> dict:
         walk(1, (), 0, *_UNIT)
         out.update(found)
 
-    _widening(ptuples(n), column, lambda width: ({}, {}))
+    interned = {}
+
+    def pack(width):
+        nonlocal interned
+        interned = {_pack(w._terms, width, ("W", n, w))[:2]: w
+                    for w in interned.values()}
+        return {}, interned
+
+    _widening(ptuples(n), column, pack)
     return out
 
 
@@ -463,51 +521,123 @@ def bar_transition_matrix(n: int) -> MappingProxyType:
     return MappingProxyType(_bar_matrix(n))
 
 
+@lru_cache(maxsize=None)
+def _runs(pattern) -> tuple:
+    """The maximal runs (start, stop) of true entries in pattern."""
+    runs = []
+    for k, nonzero in enumerate(pattern):
+        if nonzero:
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+    return tuple(map(tuple, runs))
+
+
 def _canonical_matrix(n: int, w) -> dict:
     """Z on the packed kernel, one column x at a time.  Mirrored columns
-    are copied."""
+    are copied.  An entry whose x - y has two or more runs is the product
+    of its run factors; an entry with one run is box-solved once per
+    reversal-canonical local key and reused (see the module docstring)."""
     out = {}
+    # (z, packed bar(z)) by the packed bar image, and by local key; a
+    # local key of a zero entry maps to None
+    interned, memo = {}, {}
 
     def pack(width):
-        return _pack_by_target(w, width, "W", n), {}
+        nonlocal interned, memo
+        again = {id(z): (z, _pack({-e: c for e, c in z._terms.items()},
+                                   width, ("Z", n, z)))
+                 for z, _ in interned.values()}
+        interned = {hit[1][:2]: hit for hit in again.values()}
+        memo = {key: hit and again[id(hit[0])] for key, hit in memo.items()}
+        return _pack_by_target(w, width, "W", n)
 
-    def column(x, state, width):
+    def box_solve(x, y, w_y, bars, width):
+        pairs = [(w_y[x], _UNIT)] if x in w_y else []
+        # bars holds neither x nor the unsolved y: the box ends drop out
+        for m in _between(y, x):
+            zbar = bars.get(m)
+            if zbar is not None:
+                wmy = w_y.get(m)
+                if wmy is not None:
+                    pairs.append((zbar, wmy))
+        if not pairs:
+            return None
+        label = ("Z", n, (x, y))
+        lo, slots = _dot(pairs, width, label)
+        # the rhs must be bar-antisymmetric: zero outside the exponent
+        # window [-h, h] that is its own mirror image, and equal on it to
+        # its negated reversal, which forces a zero constant term
+        # the middle exponent (lo + hi) / 2 of the slots is also how many
+        # of them lie outside the window: below it if negative, else above
+        middle = lo + len(slots) - 1
+        start, stop = max(-middle, 0), len(slots) - max(middle, 0)
+        window = slots[start:stop]
+        if (any(slots[:start]) or any(slots[stop:])
+                or list(map(neg, reversed(window))) != list(window)):
+            raise ArithmeticError(
+                f"bar-antisymmetry failed solving entry ({x}, {y}) at "
+                f"n={n}: rhs = {_raw(_terms(lo, slots))}")
+        # z is the part of the rhs below v^0, trimmed to its tight ends, so
+        # that bar(z) is packed tight and so are the products of such
+        below = window[:len(window) // 2]
+        first, end = 0, len(below)
+        while end and not below[end - 1]:
+            end -= 1
+        if not end:
+            return None
+        while not below[first]:
+            first += 1
+        zlo = lo + 2 * (start + first)
+        zslots = below[first:end]
+        zbar = _pack_slots(zslots[::-1], -zlo - 2 * (end - first - 1),
+                           width, label)
+        hit = interned.get(zbar[:2])
+        if hit is None:
+            hit = interned[zbar[:2]] = _raw(_terms(zlo, zslots)), zbar
+        return hit
+
+    def product(x, y, runs, bars, width):
+        # bar(Z(x, y)) is the product of the run factors' bar images; its
+        # ends are tight because theirs are
+        packed = _UNIT
+        for i, j in runs:
+            f = bars.get(x[:i] + y[i:j] + x[j:])
+            if f is None:
+                return None
+            packed = _mul(packed, f)
+        value, lo, hi, norm = packed
+        label = ("Z", n, (x, y))
+        _check_bound(norm, width, label)
+        hit = interned.get((value, lo))
+        if hit is None:
+            slots = _decode(value, lo, hi, width, label)
+            hit = interned[(value, lo)] = (
+                _raw(_terms(-hi, slots[::-1])),
+                (value, lo, hi, sum(map(abs, slots))))
+        return hit
+
+    def column(x, w_to, width):
         targets = _descending([y for y in _below(x) if y != x])
         if x[::-1] < x:
             _copy_mirror(out, x, [x] + targets)
             return
-        w_to, interned = state
+        xe = padded(n, x)
         found = {(x, x): ONE}
         bars = {}  # packed bar images of the entries solved in this column
         for y in targets:
-            w_y = w_to.get(y, {})
-            pairs = [(w_y[x], _UNIT)] if x in w_y else []
-            # bars holds neither x nor the unsolved y: the box ends drop out
-            for m in _between(y, x):
-                zbar = bars.get(m)
-                if zbar is not None:
-                    wmy = w_y.get(m)
-                    if wmy is not None:
-                        pairs.append((zbar, wmy))
-            if not pairs:
-                continue
-            label = ("Z", n, (x, y))
-            lo, slots = _dot(pairs, width, label)
-            rhs = _terms(lo, slots)
-            if rhs.get(0) or {-e: -c for e, c in rhs.items()} != rhs:
-                raise ArithmeticError(
-                    f"bar-antisymmetry failed solving entry ({x}, {y}) at "
-                    f"n={n}: rhs = {_raw(rhs)}")
-            if rhs:
-                # bar(z) = -(positive part of rhs), read off the slots;
-                # z and bar(z) determine each other, so bar(z) interns z
-                first = (2 - lo) // 2
-                zbar = _neg(_pack_slots(slots[first:], lo + 2 * first,
-                                        width, label))
-                hit = interned.get(zbar[:2])
-                if hit is None:
-                    z = _raw({e: c for e, c in rhs.items() if e < 0})
-                    hit = interned[zbar[:2]] = z, zbar
+            runs = _runs(tuple(map(ne, x, y)))
+            if len(runs) > 1:
+                hit = product(x, y, runs, bars, width)
+            else:
+                (i, j), = runs
+                key = (xe[i], xe[j + 1], x[i:j], y[i:j])
+                key = min(key, (key[1], key[0], key[2][::-1], key[3][::-1]))
+                if key not in memo:
+                    memo[key] = box_solve(x, y, w_to.get(y, {}), bars, width)
+                hit = memo[key]
+            if hit is not None:
                 found[(x, y)], bars[y] = hit
         out.update(found)
 
@@ -532,6 +662,27 @@ def canonical_transition_matrix(n: int) -> MappingProxyType:
     return MappingProxyType(_canonical_matrix(n, bar_transition_matrix(n)))
 
 
+def _packed_pbw(n: int, y, width: int, factors: dict):
+    """pbw_coeff(n, y) packed as the product of its packed q-binomial
+    factors, memoized in factors by (top, bottom) at this width; None if it
+    is zero.  The factors have nonnegative coefficients, so the product of
+    their norms is the norm of the product."""
+    ye = padded(n, y)
+    e = -sum((k - y[k - 1]) * (n - k - y[k - 1]) for k in range(1, n))
+    packed = (1, e, e, 1)
+    for k in range(1, n + 1):
+        key = (n + 1 - ye[k - 1] - ye[k], k - ye[k])
+        f = factors.get(key)
+        if f is None:
+            b = qbinom(*key)
+            f = factors[key] = b and _pack(b._terms, width,
+                                           ("pbw factor", n, key))
+        if not f:
+            return None
+        packed = _mul(packed, f)
+    return packed
+
+
 def _canonical_coeffs(n: int, zeta) -> dict:
     """mu on the packed kernel, one coefficient at a time.  Mirrored
     coefficients are copied."""
@@ -542,10 +693,10 @@ def _canonical_coeffs(n: int, zeta) -> dict:
         # packed -mu(x) of the coefficients found so far
         minus_mu = {x: _neg(_pack(c._terms, width, ("mu", n, x)))
                     for x, c in out.items()}
-        return _pack_by_target(zeta, width, "Z", n), minus_mu
+        return _pack_by_target(zeta, width, "Z", n), minus_mu, {}
 
     def coeff(y, state, width):
-        z_to, minus_mu = state
+        z_to, minus_mu, factors = state
         ry = y[::-1]
         if ry < y:
             if ry in out:
@@ -553,8 +704,8 @@ def _canonical_coeffs(n: int, zeta) -> dict:
                 minus_mu[y] = minus_mu[ry]
             return
         label = ("mu", n, y)
-        pbw = pbw_coeff(n, y)
-        pairs = [(_pack(pbw._terms, width, label), _UNIT)] if pbw else []
+        pbw = _packed_pbw(n, y, width, factors)
+        pairs = [(pbw, _UNIT)] if pbw else []
         z_y = z_to.get(y, {})
         # minus_mu does not hold y yet, so the term x = y drops out
         for x in _between(y, bounds):

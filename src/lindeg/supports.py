@@ -19,6 +19,8 @@ the plain container types.
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
+from functools import lru_cache
+from types import MappingProxyType
 
 from .combinatorics import (
     bell_number,
@@ -39,18 +41,21 @@ def predicted_supports(n: int) -> list:
     return sorted(found, key=lambda r: r.sort_key())
 
 
+@lru_cache(maxsize=None)
+def _dual_ranks(n: int) -> MappingProxyType:
+    """{y: dual_rank_tuple(n, y)} over P(n), shared by computed_supports
+    and verify_supports; read-only."""
+    return MappingProxyType({y: dual_rank_tuple(n, y) for y in ptuples(n)})
+
+
 def computed_supports(n: int) -> list:
     """Support set computed from the canonical expansion, canonically sorted.
 
     Keep the dual rank tuple of every parameter tuple with nonzero canonical
     coefficient, filtered by the full componentwise threshold comparison.
     """
-    coeffs = canonical_coeffs(n)
-    found = set()
-    for y in coeffs:
-        rt = dual_rank_tuple(n, y)
-        if rt.geq_r1():
-            found.add(rt)
+    duals = _dual_ranks(n)
+    found = {duals[y] for y in canonical_coeffs(n) if duals[y].geq_r1()}
     return sorted(found, key=lambda r: r.sort_key())
 
 
@@ -76,7 +81,7 @@ def verify_supports(n: int) -> dict:
         f"algebraic pipeline found {len(comp_set)} tuples, "
         f"combinatorial pipeline {len(pred_set)}"))
 
-    duals = {y: dual_rank_tuple(n, y) for y in ptuples(n)}
+    duals = _dual_ranks(n)
     survivors = {y for y in canonical_coeffs(n) if duals[y].geq_r1()}
     motzkin = set(motzkin_paths(n))
     checks.append(_check(

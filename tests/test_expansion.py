@@ -146,6 +146,15 @@ def test_solver_rejects_broken_bar_matrix(monkeypatch):
         canonical_transition_matrix.cache_clear()
 
 
+@pytest.mark.parametrize("broken", [v_power(-3), VINV_MINUS_V + v_power(3)])
+def test_solver_rejects_rhs_beyond_its_mirror(broken):
+    # antisymmetric where the rhs overlaps its mirror image, nonzero beyond
+    w = dict(bar_transition_matrix(2))
+    w[((1,), (0,))] = broken
+    with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
+        expansion._canonical_matrix(2, w)
+
+
 def test_canonical_coeffs_n2():
     mu = canonical_coeffs(2)
     assert mu == {(1,): ONE, (0,): qfact(3)}
@@ -268,15 +277,14 @@ def test_oracle_z_and_mu_reversal_symmetric():
 
 
 def test_mirrored_entries_are_shared():
-    # the mirror path copies objects; at n = 6 every stage runs at one
-    # slot width, so interning leaves one object per distinct value
+    # the mirror path copies objects, and interning leaves one object per
+    # distinct value
     n = 6
     w, z = bar_transition_matrix(n), canonical_transition_matrix(n)
     for matrix in (w, z):
         for (x, y), entry in matrix.items():
             assert matrix[(rev(x), rev(y))] is entry, (x, y)
-        distinct = {tuple(sorted(e._terms.items())) for e in matrix.values()}
-        assert len({id(e) for e in matrix.values()}) == len(distinct)
+        assert one_object_per_value(matrix)
     assert (len({id(e) for e in w.values()}),
             len({id(e) for e in z.values()})) == (500, 629)
     mu = canonical_coeffs(n)
@@ -311,6 +319,72 @@ def test_solve_products_closed_form():
     assert solve_products(8) == 21_430_880
 
 
+# -- locality of Z: run factors and local keys --------------------------------
+
+def runs(x, y):
+    """Maximal blocks (start, stop) where x and y differ."""
+    out, start = [], None
+    for k, (a, b) in enumerate(zip(x + (0,), y + (0,))):
+        if a != b and start is None:
+            start = k
+        elif a == b and start is not None:
+            out.append((start, k))
+            start = None
+    return out
+
+
+def local_key(x, y):
+    # the run, its two x-neighbours (0 past either end), and the smaller of
+    # the key and its reversal
+    (i, j), = runs(x, y)
+    xe = (0,) + x + (0,)
+    key = (xe[i], xe[j + 1], x[i:j], y[i:j])
+    return min(key, (key[1], key[0], key[2][::-1], key[3][::-1]))
+
+
+def comparable_pairs(n):
+    for x in ptuples(n):
+        for y in w_below(x):
+            if y != x:
+                yield x, y
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oracle_z_is_local(n):
+    z = oracles.canonical_transition_matrix(n)
+    by_key = {}
+    for x, y in comparable_pairs(n):
+        entry = z.get((x, y), ZERO)
+        blocks = runs(x, y)
+        if len(blocks) > 1:
+            # one factor per run: x with y's coordinates on that run
+            product = ONE
+            for i, j in blocks:
+                product = product * z.get((x, x[:i] + y[i:j] + x[j:]), ZERO)
+            assert entry == product, (n, x, y)
+        else:
+            assert by_key.setdefault(local_key(x, y), entry) == entry, (
+                n, x, y)
+
+
+def test_box_solves_one_per_local_key(monkeypatch):
+    n = 6
+    keys = {local_key(x, y) for x, y in comparable_pairs(n)
+            if len(runs(x, y)) == 1}
+    labels = []
+    dot = expansion._dot
+
+    def counting(pairs, width, label):
+        labels.append(label)
+        return dot(pairs, width, label)
+
+    monkeypatch.setattr(expansion, "_dot", counting)
+    z = expansion._canonical_matrix(n, bar_transition_matrix(n))
+    assert z == oracles.canonical_transition_matrix(n)
+    assert all(stage == "Z" for stage, _, _ in labels)
+    assert len(labels) == len(keys) == 441
+
+
 # -- packed kernel against the dict-path oracles ------------------------------
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -327,16 +401,38 @@ def test_packed_stages_match_oracles(n):
         assert list(got) == list(want), (n, packed.__name__)
 
 
+def one_object_per_value(matrix):
+    distinct = {tuple(sorted(e._terms.items())) for e in matrix.values()}
+    return len({id(e) for e in matrix.values()}) == len(distinct)
+
+
 @pytest.mark.parametrize("width", [8, 16, 64, 128])
 def test_packed_stages_at_other_widths(monkeypatch, width):
-    # 8-bit slots are refused by the proven bound and widened partway
-    # through each stage; 128-bit slots take the generic byte path
+    # 8- and 16-bit slots are refused by the proven bound and widened
+    # partway through each stage, and the intern tables carry their
+    # objects across; 128-bit slots take the generic byte path
     monkeypatch.setattr(expansion, "_START_WIDTH", width)
     w = oracles.bar_transition_matrix(5)
     z = oracles.canonical_transition_matrix(5)
-    assert expansion._bar_matrix(5) == w
-    assert expansion._canonical_matrix(5, w) == z
+    packed_w = expansion._bar_matrix(5)
+    packed_z = expansion._canonical_matrix(5, w)
+    assert packed_w == w and one_object_per_value(packed_w)
+    assert packed_z == z and one_object_per_value(packed_z)
     assert expansion._canonical_coeffs(5, z) == oracles.canonical_coeffs(5)
+
+
+def test_packed_pbw_factors_decode_to_pbw_coeff():
+    for n in range(1, 8):
+        factors = {}
+        for y in ptuples(n):
+            packed = expansion._packed_pbw(n, y, 64, factors)
+            want = pbw_coeff(n, y)
+            if packed is None:
+                assert not want, (n, y)
+                continue
+            value, lo, hi, _ = packed
+            slots = expansion._decode(value, lo, hi, 64, LABEL)
+            assert LaurentPoly(expansion._terms(lo, slots)) == want, (n, y)
 
 
 LABEL = ("Z", 5, ((1, 1, 1, 1), (0, 0, 0, 0)))

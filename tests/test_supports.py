@@ -2,7 +2,13 @@
 
 from fractions import Fraction
 
-from lindeg.combinatorics import bell_number, motzkin_number, pbw_locus_ranks
+from lindeg import supports
+from lindeg.combinatorics import (
+    bell_number,
+    motzkin_number,
+    pbw_locus_ranks,
+    ptuples,
+)
 from lindeg.supports import (
     all_checks_pass,
     asymptotics_report,
@@ -63,6 +69,24 @@ def test_verify_report():
         assert all_checks_pass(report), (n, report["checks"])
         for c in report["checks"]:
             assert set(c) == {"name", "pass", "detail"}
+
+
+def test_verify_computes_each_dual_rank_once(monkeypatch):
+    n = 5
+    calls = []
+    dual = supports.dual_rank_tuple
+
+    def counting(n, y):
+        calls.append(y)
+        return dual(n, y)
+
+    monkeypatch.setattr(supports, "dual_rank_tuple", counting)
+    supports._dual_ranks.cache_clear()
+    try:
+        assert all_checks_pass(verify_supports(n))
+    finally:
+        supports._dual_ranks.cache_clear()
+    assert sorted(calls) == ptuples(n)
 
 
 def test_asymptotics_rows():
