@@ -1,15 +1,18 @@
-"""Multisegment duality two ways: brute force vs closed form.
+"""Multisegment duality two ways: the general formula vs closed form.
 
 The dual rank tuple of a multisegment minimizes a grid sum over monotone
-maps.  For near-simple multisegments (segments of length at most 2) the
-minimum collapses to three terms, which is what the support computation
-uses; the full enumeration stays around as an independent oracle.
+maps.  The general formula finds that minimum row by row of the grid,
+without listing the maps.  For near-simple multisegments (segments of
+length at most 2) the minimum collapses to three terms, which is what the
+support computation uses; the two are checked against each other, and
+against a plain enumeration of the maps.
 """
 
 from lindeg import (
     Multisegment,
     dual_rank_tuple,
     dual_rank_tuple_general,
+    kz_rank_general,
     monotone_maps,
     next_neighbor_rank,
     path_to_multisegment,
@@ -25,14 +28,22 @@ n, x = 4, (1, 0, 1)
 m = path_to_multisegment(n, x)
 print(f"\npath {x}: multisegment {m}")
 print("closed form:", dual_rank_tuple(n, x).off_diagonal())
-print("brute force:", dual_rank_tuple_general(m).off_diagonal())
+print("general:    ", dual_rank_tuple_general(m).off_diagonal())
 
 # The general formula also handles longer segments.
 m2 = Multisegment(3, {(1, 3): 1, (2, 2): 1})
 print(f"\ngeneral multisegment {m2}:")
-print("brute force:", dual_rank_tuple_general(m2).off_diagonal(),
+print("general:", dual_rank_tuple_general(m2).off_diagonal(),
       "diagonal", tuple(dual_rank_tuple_general(m2)[(i, i)]
                         for i in range(1, 4)))
+
+# Entry (2, 3) by listing every monotone map [1, 2] x [3, 3] -> [2, 3].
+i, j = 2, 3
+sums = [sum(m2.multiplicity(nu[k - 1][0] + k - i, nu[k - 1][0])
+            for k in range(1, i + 1))
+        for nu in monotone_maps(i, 1, i, j)]
+print(f"entry ({i}, {j}): min of {sums} = {min(sums)};",
+      "row by row:", kz_rank_general(m2, i, j))
 
 # The next-neighbour entries decide Motzkin membership on their own:
 # a parameter tuple is a path exactly when all of them are >= n.

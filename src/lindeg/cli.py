@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from .combinatorics import (
     Multisegment,
@@ -33,16 +34,13 @@ from .supports import (
     all_checks_pass,
     asymptotics_report,
     predicted_supports,
+    tup,
     verify_supports,
 )
 
 #: Subcommands refuse n above this unless --max-n raises the cap; the
 #: expansion engine cost grows quickly with the parameter set.
 DEFAULT_MAX_N = 8
-
-
-def tup(values) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
 
 
 def segments_str(m: Multisegment) -> str:
@@ -291,13 +289,17 @@ def cmd_asymptotics(args) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "json", "csv"],
-                        default="text", help="output format")
-    common.add_argument("--max-n", type=int, default=None, metavar="K",
-                        help=f"raise the size cap above the default "
-                             f"{DEFAULT_MAX_N} (expect long runtimes)")
+    """The argument parser, built once per process; each parse returns a
+    fresh namespace, so reusing it is safe."""
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=["text", "json", "csv"],
+                           default="text", help="output format")
+    sized = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    sized.add_argument("--max-n", type=int, default=None, metavar="K",
+                       help=f"raise the size cap above the default "
+                            f"{DEFAULT_MAX_N} (expect long runtimes)")
 
     parser = argparse.ArgumentParser(
         prog="lindeg",
@@ -306,24 +308,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "flag varieties.")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("supports", parents=[common],
+    p = sub.add_parser("supports", parents=[sized],
                        help="support rank tuples for a given n")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_supports, sized=True)
 
-    p = sub.add_parser("expand", parents=[common],
+    p = sub.add_parser("expand", parents=[sized],
                        help="canonical expansion of the staircase monomial")
     p.add_argument("n", type=int)
     p.add_argument("--expanded", action="store_true",
                    help="print coefficients as expanded Laurent polynomials")
     p.set_defaults(func=cmd_expand, sized=True)
 
-    p = sub.add_parser("motzkin", parents=[common],
+    p = sub.add_parser("motzkin", parents=[sized],
                        help="enumerate Motzkin paths")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_motzkin, sized=True)
 
-    p = sub.add_parser("dual", parents=[common],
+    p = sub.add_parser("dual", parents=[sized],
                        help="dual rank tuple of a multisegment "
                             "(format: 'i,j=mult;i,j=mult;...')")
     p.add_argument("multisegment")
@@ -331,12 +333,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ambient n (default: largest right endpoint)")
     p.set_defaults(func=cmd_dual, sized=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[sized],
                        help="cross-check the two support pipelines")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_verify, sized=True)
 
-    p = sub.add_parser("asymptotics", parents=[common],
+    # no size cap: the table is closed-form counting, so no --max-n either
+    p = sub.add_parser("asymptotics", parents=[formatted],
                        help="Motzkin vs Bell counting table")
     p.add_argument("max_n", type=int)
     p.set_defaults(func=cmd_asymptotics, sized=False)
@@ -344,20 +347,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _size_limit(args) -> int | None:
+def _size_error(args) -> str | None:
+    """Check n against the size cap of a sized subcommand, warn on stderr
+    when --max-n raises the cap, and store the cap in args.cap; the
+    message of a usage error, else None."""
     cap = DEFAULT_MAX_N
     if args.max_n is not None:
         if args.max_n < 1:
-            return None
+            return "--max-n must be at least 1"
         if args.max_n > DEFAULT_MAX_N:
             cost = ""
             if args.command in ("expand", "verify") and args.n >= 1:
-                cost = (f": the Z solve at n={args.n} takes "
+                cost = (f": the Z solve at n={args.n} takes at most "
                         f"{solve_products(args.n):,} Laurent products")
             print(f"warning: size cap raised to {args.max_n}; expansion cost "
                   f"grows rapidly with n{cost}", file=sys.stderr)
         cap = args.max_n
-    return cap
+    args.cap = cap
+    n = args.n
+    if args.command == "dual":
+        if n is not None and n < 1:
+            return "--n must be at least 1"
+    elif n < 1:
+        return "n must be at least 1"
+    elif n > cap:
+        return f"n={n} exceeds the size cap {cap}; pass --max-n {n} to override"
+    return None
 
 
 def main(argv=None) -> int:
@@ -369,29 +384,10 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2
-    if args.command == "asymptotics":
-        if args.max_n < 1:
-            print("error: max_n must be at least 1", file=sys.stderr)
-            return 2
-        return args.func(args)
-    cap = _size_limit(args)
-    if cap is None:
-        print("error: --max-n must be at least 1", file=sys.stderr)
+    error = _size_error(args) if args.sized else None
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    args.cap = cap
-    n = args.n
-    if args.command == "dual":
-        if n is not None and n < 1:
-            print("error: --n must be at least 1", file=sys.stderr)
-            return 2
-    else:
-        if n < 1:
-            print("error: n must be at least 1", file=sys.stderr)
-            return 2
-        if n > cap:
-            print(f"error: n={n} exceeds the size cap {cap}; "
-                  f"pass --max-n {n} to override", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -233,7 +233,9 @@ class RankTuple:
                      for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
     def values_ascending(self) -> tuple:
-        return tuple(self.r[k] for k in sorted(self.r))
+        # __init__ and _rank_tuple store the entries in ascending (i, j)
+        # order
+        return tuple(self.r.values())
 
     def hat(self) -> "RankTuple":
         """The reflection involution r_ij -> r_{n+1-j, n+1-i}."""
@@ -290,6 +292,16 @@ class RankTuple:
         return f"RankTuple(n={self.n}, off_diagonal={self.off_diagonal()})"
 
 
+def _rank_tuple(n: int, r: dict) -> RankTuple:
+    """Wrap a complete dict of nonnegative int entries, built in ascending
+    (i, j) order, without validating it; for tuples the package builds
+    itself."""
+    rt = RankTuple.__new__(RankTuple)
+    rt.n = n
+    rt.r = r
+    return rt
+
+
 def path_to_multisegment(n: int, x) -> Multisegment:
     """The near-simple multisegment attached to a parameter tuple.
 
@@ -329,21 +341,38 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     r_ij = n + 1 - max over i <= k <= l <= m <= j of
     (x_{l-1} + x_l - x_{k-1} - x_m), with the implicit zero endpoints.
     The diagonal always comes out as n + 1.
+
+    Evaluated in one O(n) sweep over j per row i.  The minimum of x_m over
+    m in [l, j] is subtracted, i.e. the maximum of -x_m is added, so the
+    maximum over k <= l <= m separates into running extrema:
+
+        low_l  = min over i <= k <= l of x_{k-1},
+        top_m  = max over i <= l <= m of (x_{l-1} + x_l - low_l),
+        best_j = max over i <= m <= j of (top_m - x_m),
+
+    and r_ij = n + 1 - best_j.  When j grows by one, each of the three
+    takes one more term, with j as the new k, l or m.  The term
+    k = l = m is 0, so best_j >= 0, and top_m >= x_m >= 0; both therefore
+    start at 0.  ``tests/oracles.py`` keeps the four-index form, and the
+    tests compare the two on every Motzkin path up to n = 10.
     """
     if not is_motzkin_path(n, x):
         raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
     xe = padded(n, x)
     r = {}
     for i in range(1, n + 1):
+        low = xe[i - 1]
+        top = best = 0
         for j in range(i, n + 1):
-            best = 0
-            low_left = xe[i - 1]   # min of x_{k-1} over i <= k <= l
-            for l in range(i, j + 1):
-                low_left = min(low_left, xe[l - 1])
-                low_right = min(xe[l:j + 1])  # min of x_m over l <= m <= j
-                best = max(best, xe[l - 1] + xe[l] - low_left - low_right)
+            prev, cur = xe[j - 1], xe[j]
+            if prev < low:
+                low = prev
+            if prev + cur - low > top:
+                top = prev + cur - low
+            if top - cur > best:
+                best = top - cur
             r[(i, j)] = n + 1 - best
-    return RankTuple(n, r)
+    return _rank_tuple(n, r)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 Two implementations of the dual rank tuple are provided on purpose:
 
-* ``kz_rank_general`` evaluates the full minimum formula, enumerating all
-  monotone maps from the grid [1, i] x [j, n] into [i, j].  It works for any
-  multisegment and serves as the brute-force oracle.
+* ``kz_rank_general`` evaluates the full minimum formula over all monotone
+  maps from the grid [1, i] x [j, n] into [i, j], for any multisegment.  It
+  does not enumerate the maps (plane partitions in an i x (n - j + 1) x
+  (j - i) box) but runs a min-plus recursion over the rows of the grid,
+  whose number is only a binomial coefficient.  The enumeration over ``monotone_maps`` is
+  kept in ``tests/oracles.py`` as the oracle the tests compare it with.
 * ``kz_rank_near_simple`` is the closed form available when every segment
   has length 1 or 2: the grid minimum collapses to
   min over i <= p <= q <= r <= j of (m_{p-1,p} + m_{q,q} + m_{r,r+1}),
@@ -19,9 +22,13 @@ which is all the support computation needs.
 
 from __future__ import annotations
 
+import itertools
+from operator import getitem
+
 from .combinatorics import (
     Multisegment,
     RankTuple,
+    _rank_tuple,
     in_parameter_set,
     padded,
     path_to_multisegment,
@@ -66,21 +73,50 @@ def kz_rank_general(m: Multisegment, i: int, j: int) -> int:
     Minimizes, over monotone maps nu from [1, i] x [j, n] to [i, j], the sum
     of m_{nu(k,l)+k-i, nu(k,l)+l-j} over the grid; subscripts that leave the
     triangle 1 <= a <= b <= n contribute zero.
+
+    A min-plus recursion over the rows of the grid.  A row is a weakly
+    increasing tuple of n - j + 1 values in [i, j], and the map is monotone
+    exactly when each row lies elementwise above the one before, so with
+    c_k(row) the summands of row k,
+
+        best_k(row) = c_k(row) + min over rows prev <= row of best_{k-1}(prev)
+
+    and the entry is the minimum of best_i.  The downset minimum is built
+    in the lexicographic order of the rows: at each row it is the minimum
+    of best(row) and of the downset minima at the rows one below it in a
+    single coordinate.  That reaches every prev <= row, since lowering the
+    leftmost coordinate where prev and row differ keeps a row weakly
+    increasing and still above prev.  With C(n - i + 1, n - j + 1) rows,
+    the cost is O(i (n - j + 1) C(n - i + 1, n - j + 1)).
     """
     n = m.n
     if not (1 <= i <= j <= n):
         raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    mult = m.multiplicity
-    cells = [(k, l) for k in range(1, i + 1) for l in range(j, n + 1)]
-    best = None
-    for nu in monotone_maps(i, n - j + 1, i, j):
-        total = 0
-        for k, l in cells:
-            val = nu[k - 1][l - j]
-            total += mult(val + k - i, val + l - j)
-        if best is None or total < best:
-            best = total
-    return best
+    ncols = n - j + 1
+    rows = list(itertools.combinations_with_replacement(range(i, j + 1),
+                                                        ncols))
+    index = {row: t for t, row in enumerate(rows)}
+    below = []  # per row, the indices of the rows one below it
+    for row in rows:
+        lower, left = [], i
+        for c, v in enumerate(row):
+            if v > left:
+                lower.append(index[row[:c] + (v - 1,) + row[c + 1:]])
+            left = v
+        below.append(lower)
+    mult = m.mult
+    down = [0] * len(rows)
+    for shift in range(1 - i, 1):  # shift = k - i for the grid rows k
+        # summand of value v in column c: m_{v+k-i, v+c}
+        cost = [[mult.get((v + shift, v + c), 0) for v in range(j + 1)]
+                for c in range(ncols)]
+        for t, row in enumerate(rows):
+            best = down[t] + sum(map(getitem, cost, row))
+            for s in below[t]:
+                if down[s] < best:
+                    best = down[s]
+            down[t] = best
+    return down[-1]
 
 
 def kz_rank_near_simple(m: Multisegment, i: int, j: int) -> int:
@@ -158,11 +194,12 @@ def dual_rank_tuple_near_simple(m: Multisegment) -> RankTuple:
             mid = min(mid, head + mids[j])
             best = min(best, mid + tails[j])
             r[(i, j)] = best
-    return RankTuple(n, r)
+    return _rank_tuple(n, r)
 
 
 def dual_rank_tuple_general(m: Multisegment) -> RankTuple:
-    """The full dual rank tuple of any multisegment, by brute force."""
+    """The full dual rank tuple of any multisegment, entry by entry from
+    kz_rank_general."""
     n = m.n
-    return RankTuple(n, {(i, j): kz_rank_general(m, i, j)
+    return _rank_tuple(n, {(i, j): kz_rank_general(m, i, j)
                          for i in range(1, n + 1) for j in range(i, n + 1)})

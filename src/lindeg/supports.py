@@ -63,6 +63,25 @@ def _check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "pass": bool(ok), "detail": detail}
 
 
+def _differences(left: str, a: set, right: str, b: set, show) -> str:
+    """Up to three elements from each side of the symmetric difference of
+    a and b, smallest first, for the detail of a failed check."""
+    parts = []
+    for label, only in ((left, a - b), (right, b - a)):
+        if only:
+            shown = sorted(only)[:3]
+            more = f" and {len(only) - 3} more" if len(only) > 3 else ""
+            parts.append(f"only {label}: "
+                         + ", ".join(show(e) for e in shown) + more)
+    return "; " + "; ".join(parts) if parts else ""
+
+
+def tup(values) -> str:
+    """An integer tuple as text, "(1, 0)", with no trailing comma at
+    length one; the CLI prints tuples this way too."""
+    return "(" + ", ".join(str(v) for v in values) + ")"
+
+
 def verify_supports(n: int) -> dict:
     """Cross-check the two support pipelines and the related structure.
 
@@ -79,7 +98,9 @@ def verify_supports(n: int) -> dict:
         "set_equality",
         comp_set == pred_set,
         f"algebraic pipeline found {len(comp_set)} tuples, "
-        f"combinatorial pipeline {len(pred_set)}"))
+        f"combinatorial pipeline {len(pred_set)}"
+        + _differences("algebraic", comp_set, "combinatorial", pred_set,
+                       lambda rt: tup(rt.off_diagonal()))))
 
     duals = _dual_ranks(n)
     survivors = {y for y in canonical_coeffs(n) if duals[y].geq_r1()}
@@ -88,7 +109,8 @@ def verify_supports(n: int) -> dict:
         "per_element_motzkin",
         survivors == motzkin,
         f"{len(survivors)} surviving parameter tuples vs "
-        f"{len(motzkin)} Motzkin paths"))
+        f"{len(motzkin)} Motzkin paths"
+        + _differences("surviving", survivors, "Motzkin", motzkin, tup)))
 
     pbw = set(pbw_locus_ranks(n))
     checks.append(_check(

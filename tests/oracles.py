@@ -1,16 +1,28 @@
-"""Slow dict-path oracles for the packed expansion kernel.
+"""Slow, independent oracles for the fast paths of the package.
 
-These are the straightforward ``LaurentPoly`` implementations of the three
-expansion stages: W entry by entry from the closed form
-``bar_transition_coeff``, the triangular solve for Z, and the
-back-substitution for mu.  Every product is a dict-of-terms convolution, so
-they are independent of the packed-integer kernel in
-``lindeg.expansion``; the tests compare the two for every n <= 6.
+* The straightforward ``LaurentPoly`` implementations of the three
+  expansion stages: W entry by entry from the closed form
+  ``bar_transition_coeff``, the triangular solve for Z, and the
+  back-substitution for mu.  Every product is a dict-of-terms convolution,
+  so they are independent of the packed-integer kernel in
+  ``lindeg.expansion``; the tests compare the two for every n <= 6.
+* ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
+  four-index maximum, against the one-sweep form in
+  ``lindeg.combinatorics``.
+* ``kz_rank_general``: the dual rank entry by enumerating every monotone
+  map, against the row-by-row minimum in ``lindeg.duality``.
 """
 
 from functools import lru_cache
 
-from lindeg.combinatorics import ptuples, upper_bounds
+from lindeg.combinatorics import (
+    RankTuple,
+    is_motzkin_path,
+    padded,
+    ptuples,
+    upper_bounds,
+)
+from lindeg.duality import monotone_maps
 from lindeg.expansion import (
     _below,
     _between,
@@ -101,3 +113,56 @@ def canonical_coeffs(n: int) -> dict:
         if acc:
             out[y] = acc
     return out
+
+
+def rank_from_motzkin(n: int, x) -> RankTuple:
+    """The support rank tuple of a Motzkin path.
+
+    r_ij = n + 1 - max over i <= k <= l <= m <= j of
+    (x_{l-1} + x_l - x_{k-1} - x_m), with the implicit zero endpoints.
+    The diagonal always comes out as n + 1.
+    """
+    if not is_motzkin_path(n, x):
+        raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
+    xe = padded(n, x)
+    r = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            best = 0
+            low_left = xe[i - 1]   # min of x_{k-1} over i <= k <= l
+            for l in range(i, j + 1):
+                low_left = min(low_left, xe[l - 1])
+                low_right = min(xe[l:j + 1])  # min of x_m over l <= m <= j
+                best = max(best, xe[l - 1] + xe[l] - low_left - low_right)
+            r[(i, j)] = n + 1 - best
+    return RankTuple(n, r)
+
+
+def kz_rank_general(m, i: int, j: int) -> int:
+    """Entry (i, j) of the dual rank tuple by the full minimum formula.
+
+    Minimizes, over monotone maps nu from [1, i] x [j, n] to [i, j], the sum
+    of m_{nu(k,l)+k-i, nu(k,l)+l-j} over the grid; subscripts that leave the
+    triangle 1 <= a <= b <= n contribute zero.
+    """
+    n = m.n
+    if not (1 <= i <= j <= n):
+        raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
+    mult = m.multiplicity
+    cells = [(k, l) for k in range(1, i + 1) for l in range(j, n + 1)]
+    best = None
+    for nu in monotone_maps(i, n - j + 1, i, j):
+        total = 0
+        for k, l in cells:
+            val = nu[k - 1][l - j]
+            total += mult(val + k - i, val + l - j)
+        if best is None or total < best:
+            best = total
+    return best
+
+
+def dual_rank_tuple_general(m) -> RankTuple:
+    """The full dual rank tuple of any multisegment, by enumeration."""
+    n = m.n
+    return RankTuple(n, {(i, j): kz_rank_general(m, i, j)
+                         for i in range(1, n + 1) for j in range(i, n + 1)})

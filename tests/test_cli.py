@@ -211,8 +211,49 @@ def test_max_n_warning_states_solve_cost(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "8", "--max-n", "9")
     assert code == 0
     assert err == ("warning: size cap raised to 9; expansion cost grows "
-                   "rapidly with n: the Z solve at n=8 takes 21,430,880 "
-                   "Laurent products\n")
+                   "rapidly with n: the Z solve at n=8 takes at most "
+                   "21,430,880 Laurent products\n")
+
+
+def test_asymptotics_has_no_size_cap_option(capsys):
+    # --max-n used to land on the positional max_n and change the table
+    code, out, err = run_cli(capsys, "asymptotics", "3", "--max-n", "5")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --max-n 5" in err
+    code, out, err = run_cli(capsys, "asymptotics", "3")
+    assert code == 0 and err == ""
+    assert out == ("n  motzkin  bell  ratio\n"
+                   "1  1  1  1.0\n"
+                   "2  2  2  1.0\n"
+                   "3  4  5  0.8\n")
+    code, out, err = run_cli(capsys, "asymptotics", "0")
+    assert (code, out, err) == (2, "", "error: max_n must be at least 1\n")
+
+
+def test_repeated_requests_share_one_parser(capsys):
+    from lindeg import cli
+
+    assert cli._build_parser() is cli._build_parser()
+    code, out, err = run_cli(capsys, "expand", "--bogus", "2")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = run_cli(capsys, "motzkin", "3")
+    assert (code, err) == (0, "")
+    assert out == ("motzkin n=3: 4 paths\n"
+                   "(0, 0)\n(0, 1)\n(1, 0)\n(1, 1)\n")
+    code, out, err = run_cli(capsys, "asymptotics", "2", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == "n,motzkin,bell,ratio\n1,1,1,1.0\n2,2,2,1.0\n"
+    code, out, err = run_cli(capsys, "motzkin", "2", "--max-n", "9")
+    assert code == 0
+    assert out == "motzkin n=2: 2 paths\n(0)\n(1)\n"
+    assert err == ("warning: size cap raised to 9; expansion cost grows "
+                   "rapidly with n\n")
+    code, out, err = run_cli(capsys, "motzkin", "3")
+    assert (code, err) == (0, "")  # no option leaks into the next request
+    assert out.startswith("motzkin n=3: 4 paths\n")
+    code, out, err = run_cli(capsys, "motzkin", "9")
+    assert code == 2 and "exceeds the size cap 8" in err
 
 
 def test_byte_identical_reruns(capsys):

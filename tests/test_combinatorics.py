@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from lindeg.combinatorics import (
     Multisegment,
     RankTuple,
@@ -180,6 +181,30 @@ def test_rank_from_motzkin_dominates_threshold_and_injective():
             assert all(rt[(i, i)] == n + 1 for i in range(1, n + 1))
             seen.add(rt)
         assert len(seen) == motzkin_number(n)
+
+
+def test_rank_sweep_matches_four_index_oracle():
+    for n in range(1, 11):
+        for x in motzkin_paths(n):
+            assert rank_from_motzkin(n, x) == oracles.rank_from_motzkin(n, x)
+
+
+def test_rank_tuple_keys_unchanged_on_supports():
+    # equality, hash and order against the validated constructor and the
+    # keys read in sorted (i, j) order
+    for n in range(1, 9):
+        tuples = [rank_from_motzkin(n, x) for x in motzkin_paths(n)]
+        for rt in tuples:
+            checked = RankTuple(n, dict(rt.r))
+            by_sorted_keys = tuple(rt.r[k] for k in sorted(rt.r))
+            assert rt == checked and checked == rt
+            assert rt.values_ascending() == by_sorted_keys
+            assert hash(rt) == hash(checked) == hash((n, by_sorted_keys))
+            assert rt.sort_key() == checked.sort_key()
+        order = sorted(range(len(tuples)), key=lambda t: tuples[t])
+        assert order == sorted(
+            range(len(tuples)),
+            key=lambda t: tuple(tuples[t].r[k] for k in sorted(tuples[t].r)))
 
 
 def test_hat():

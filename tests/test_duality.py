@@ -1,9 +1,12 @@
 """Duality rank tuples: brute-force oracle vs closed form."""
 
 import itertools
+import random
 
 import pytest
 
+import oracles
+from lindeg.cli import parse_multisegment
 from lindeg.combinatorics import (
     Multisegment,
     RankTuple,
@@ -78,6 +81,56 @@ def test_oracle_agreement_exhaustive():
                 for j in range(i, n + 1):
                     assert (kz_rank_general(m, i, j)
                             == kz_rank_simple(n, x, i, j)), (n, x, i, j)
+
+
+def intervals(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+
+
+def assert_general_matches_oracle(m):
+    n = m.n
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            assert (kz_rank_general(m, i, j)
+                    == oracles.kz_rank_general(m, i, j)), (m, i, j)
+
+
+def test_row_recursion_matches_enumeration_exhaustive():
+    # every multisegment with multiplicities in {0, 1, 2}, n <= 3
+    for n in range(1, 4):
+        segs = intervals(n)
+        for mults in itertools.product(range(3), repeat=len(segs)):
+            assert_general_matches_oracle(
+                Multisegment(n, dict(zip(segs, mults))))
+
+
+def test_row_recursion_matches_enumeration_sampled():
+    rng = random.Random(20261018)
+    for n, count in ((4, 60), (5, 40), (6, 20), (7, 10)):
+        segs = intervals(n)
+        for _ in range(count):
+            chosen = rng.sample(segs, rng.randint(1, len(segs)))
+            assert_general_matches_oracle(
+                Multisegment(n, {s: rng.randint(1, 4) for s in chosen}))
+
+
+N8_CASES = [
+    "1,2=2;3,5=1;4,8=3;6,6=1",
+    "1,8=1",
+    "1,1=3;2,3=1;4,7=2;8,8=1",
+    "1,4=2;2,6=1;5,8=3",
+    "1,2=1;2,3=1;3,4=1;4,5=1;5,6=1;6,7=1;7,8=1",
+    "2,7=2;3,3=1;4,5=4;6,6=2",
+    "1,1=1;2,2=2;3,3=3;4,4=1;5,5=2;6,6=3;7,7=1;8,8=2",
+    "1,5=1;1,3=2;4,8=1;6,8=2;2,2=1",
+    "1,6=2;3,8=2;4,4=1",
+]
+
+
+def test_row_recursion_matches_enumeration_n8():
+    for text in N8_CASES:
+        m = parse_multisegment(text, 8)
+        assert dual_rank_tuple_general(m) == oracles.dual_rank_tuple_general(m)
 
 
 def test_general_equals_near_simple_with_free_diagonal():

@@ -111,3 +111,30 @@ def test_ratio_string_rendering():
     assert ratio_string(9, 15) == "0.6"
     assert ratio_string(21, 52) == "0.40384615384615384615"
     assert "E-" in ratio_string(motzkin_number(30), bell_number(30))
+
+
+def test_failed_checks_name_the_differing_tuples(monkeypatch):
+    from lindeg.combinatorics import motzkin_paths, rank_from_motzkin
+
+    dropped = (1, 1, 0)
+    real = dict(supports.canonical_coeffs(4))
+    assert dropped in real
+    del real[dropped]
+    monkeypatch.setattr(supports, "canonical_coeffs", lambda n: real)
+    report = verify_supports(4)
+    checks = {c["name"]: c for c in report["checks"]}
+    rank = supports.tup(rank_from_motzkin(4, dropped).off_diagonal())
+    assert dropped in motzkin_paths(4)
+    assert not checks["set_equality"]["pass"]
+    assert checks["set_equality"]["detail"] == (
+        "algebraic pipeline found 8 tuples, combinatorial pipeline 9; "
+        f"only combinatorial: {rank}")
+    assert not checks["per_element_motzkin"]["pass"]
+    assert checks["per_element_motzkin"]["detail"] == (
+        "8 surviving parameter tuples vs 9 Motzkin paths; "
+        "only Motzkin: (1, 1, 0)")
+    monkeypatch.setattr(supports, "canonical_coeffs", lambda n: {})
+    checks = {c["name"]: c for c in verify_supports(4)["checks"]}
+    assert checks["per_element_motzkin"]["detail"] == (
+        "0 surviving parameter tuples vs 9 Motzkin paths; only Motzkin: "
+        "(0, 0, 0), (0, 0, 1), (0, 1, 0) and 6 more")
