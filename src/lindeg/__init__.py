@@ -42,8 +42,6 @@ from .duality import (
     dual_rank_tuple_general,
     dual_rank_tuple_near_simple,
     kz_rank_general,
-    kz_rank_near_simple,
-    kz_rank_simple,
     monotone_maps,
     next_neighbor_rank,
 )
@@ -55,9 +53,6 @@ from .expansion import (
     pbw_coeff,
     pbw_coeff_degree,
     pbw_coeff_degree_gap,
-    rank2_straighten,
-    staircase_exponents,
-    two_row_pbw_expansion,
 )
 from .supports import (
     all_checks_pass,
@@ -78,10 +73,9 @@ __all__ = [
     "upper_bounds", "path_to_multisegment", "r1_tuple", "rank_from_motzkin",
     "has_single_peak", "single_peak_paths", "pbw_locus_ranks",
     "motzkin_number", "bell_number",
-    "monotone_maps", "kz_rank_general", "kz_rank_near_simple",
-    "kz_rank_simple", "next_neighbor_rank", "dual_rank_tuple",
-    "dual_rank_tuple_general", "dual_rank_tuple_near_simple",
-    "rank2_straighten", "two_row_pbw_expansion", "staircase_exponents",
+    "monotone_maps", "kz_rank_general", "next_neighbor_rank",
+    "dual_rank_tuple", "dual_rank_tuple_general",
+    "dual_rank_tuple_near_simple",
     "pbw_coeff", "pbw_coeff_degree", "pbw_coeff_degree_gap",
     "bar_transition_coeff", "bar_transition_matrix",
     "canonical_transition_matrix", "canonical_coeffs",

@@ -262,7 +262,7 @@ def cmd_dual(args) -> int:
             print(f"match: {'yes' if match else 'MISMATCH'}")
     if match is False:
         print("internal error: the closed form disagrees with the "
-              "brute-force duality formula", file=sys.stderr)
+              "general duality formula", file=sys.stderr)
         return 1
     return 0
 

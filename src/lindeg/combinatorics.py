@@ -22,8 +22,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-Path = tuple  # integer tuple of length n - 1
-
 
 # ---------------------------------------------------------------------------
 # parameter tuples and Motzkin paths
@@ -108,28 +106,40 @@ def leq(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+def _motzkin_numbers():
+    """M_0, M_1, M_2, ... without end, by the recurrence
+    M_{k+1} = M_k + sum_{i<k} M_i M_{k-1-i}."""
+    m = [1]
+    while True:
+        yield m[-1]
+        k = len(m) - 1
+        m.append(m[k] + sum(m[i] * m[k - 1 - i] for i in range(k)))
+
+
+def _bell_numbers():
+    """B_0, B_1, B_2, ... without end, the first entries of the rows of
+    the Bell triangle."""
+    row = [1]
+    while True:
+        yield row[0]
+        nxt = [row[-1]]
+        for c in row:
+            nxt.append(nxt[-1] + c)
+        row = nxt
+
+
 def motzkin_number(n: int) -> int:
     """The n-th Motzkin number M_n (M_0 = 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = [1]
-    for k in range(n):
-        nxt = m[k] + sum(m[i] * m[k - 1 - i] for i in range(k))
-        m.append(nxt)
-    return m[n]
+    return next(itertools.islice(_motzkin_numbers(), n, None))
 
 
 def bell_number(n: int) -> int:
     """The n-th Bell number via the Bell triangle (B_0 = 1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for c in row:
-            nxt.append(nxt[-1] + c)
-        row = nxt
-    return row[0]
+    return next(itertools.islice(_bell_numbers(), n, None))
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +237,13 @@ class RankTuple:
         """Entry r_ij, with the formal value 0 outside the triangle."""
         return self.r.get((i, j), 0)
 
+    # __init__ and _rank_tuple store the entries in ascending (i, j) order,
+    # so the next two read them in stored order
+
     def off_diagonal(self) -> tuple:
-        n = self.n
-        return tuple(self.r[(i, j)]
-                     for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        return tuple([v for (i, j), v in self.r.items() if i != j])
 
     def values_ascending(self) -> tuple:
-        # __init__ and _rank_tuple store the entries in ascending (i, j)
-        # order
         return tuple(self.r.values())
 
     def hat(self) -> "RankTuple":
@@ -242,11 +251,6 @@ class RankTuple:
         n = self.n
         return RankTuple(n, {(i, j): self.r[(n + 1 - j, n + 1 - i)]
                              for (i, j) in self.r})
-
-    def geq(self, other: "RankTuple") -> bool:
-        if self.n != other.n:
-            raise ValueError("cannot compare rank tuples of different n")
-        return all(self.r[k] >= other.r[k] for k in self.r)
 
     def geq_r1(self) -> bool:
         """Componentwise comparison against the threshold tuple n+1+i-j."""

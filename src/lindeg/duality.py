@@ -1,23 +1,27 @@
 """Knight-Zelevinsky multisegment duality, as rank tuples.
 
-Two implementations of the dual rank tuple are provided on purpose:
+``kz_rank_general`` evaluates the full minimum formula over all monotone
+maps from the grid [1, i] x [j, n] into [i, j], for any multisegment.  It
+does not enumerate the maps (plane partitions in an i x (n - j + 1) x
+(j - i) box) but runs a min-plus recursion over the rows of the grid,
+whose number is only a binomial coefficient.
 
-* ``kz_rank_general`` evaluates the full minimum formula over all monotone
-  maps from the grid [1, i] x [j, n] into [i, j], for any multisegment.  It
-  does not enumerate the maps (plane partitions in an i x (n - j + 1) x
-  (j - i) box) but runs a min-plus recursion over the rows of the grid,
-  whose number is only a binomial coefficient.  The enumeration over ``monotone_maps`` is
-  kept in ``tests/oracles.py`` as the oracle the tests compare it with.
-* ``kz_rank_near_simple`` is the closed form available when every segment
-  has length 1 or 2: the grid minimum collapses to
-  min over i <= p <= q <= r <= j of (m_{p-1,p} + m_{q,q} + m_{r,r+1}),
-  with out-of-range multiplicities read as zero.
-  ``dual_rank_tuple_near_simple`` evaluates it for a whole rank tuple in
-  O(n^2), one sweep over j per row i.
+When every segment has length 1 or 2 the grid minimum collapses to the
+closed form
 
-For parameter tuples the near-simple form specializes further; the package
-never computes the duality as a map on multisegments, only its rank tuples,
-which is all the support computation needs.
+    r_ij = min over i <= p <= q <= r <= j of
+           (m_{p-1,p} + m_{q,q} + m_{r,r+1}),
+
+with out-of-range multiplicities read as zero.
+``dual_rank_tuple_near_simple`` evaluates it for a whole rank tuple in
+O(n^2), one sweep over j per row i, and ``dual_rank_tuple`` applies it to
+the multisegment of a parameter tuple.
+
+``tests/oracles.py`` keeps the reference forms the tests compare these
+with: the enumeration over ``monotone_maps``, and the closed form
+evaluated entry by entry (``kz_rank_near_simple``, ``kz_rank_simple``).
+The package never computes the duality as a map on multisegments, only its
+rank tuples, which is all the support computation needs.
 """
 
 from __future__ import annotations
@@ -119,34 +123,6 @@ def kz_rank_general(m: Multisegment, i: int, j: int) -> int:
     return down[-1]
 
 
-def kz_rank_near_simple(m: Multisegment, i: int, j: int) -> int:
-    """Entry (i, j) of the dual rank tuple for a near-simple multisegment."""
-    n = m.n
-    if not (1 <= i <= j <= n):
-        raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    if not m.is_near_simple():
-        raise ValueError("closed form requires segments of length at most 2")
-    mult = m.multiplicity
-    best = None
-    for p in range(i, j + 1):
-        head = mult(p - 1, p)
-        for q in range(p, j + 1):
-            mid = head + mult(q, q)
-            for r in range(q, j + 1):
-                total = mid + mult(r, r + 1)
-                if best is None or total < best:
-                    best = total
-    return best
-
-
-def kz_rank_simple(n: int, x, i: int, j: int) -> int:
-    """Entry (i, j) of the dual rank tuple of the near-simple multisegment
-    attached to a parameter tuple x."""
-    if not in_parameter_set(n, x):
-        raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
-    return kz_rank_near_simple(path_to_multisegment(n, x), i, j)
-
-
 def next_neighbor_rank(n: int, x, i: int) -> int:
     """The (i, i+1) entry, n + 1 - max(0, x_i - x_{i+1}, x_i - x_{i-1}).
 
@@ -169,8 +145,8 @@ def dual_rank_tuple(n: int, x) -> RankTuple:
 
 
 def dual_rank_tuple_near_simple(m: Multisegment) -> RankTuple:
-    """The full dual rank tuple of a near-simple multisegment; entry by
-    entry equal to kz_rank_near_simple.
+    """The full dual rank tuple of a near-simple multisegment, by the
+    closed form of the module docstring.
 
     Row i sweeps j upwards and keeps the running minima over
     i <= p <= q <= r <= j of m_{p-1,p}, of m_{p-1,p} + m_{q,q}, and of the

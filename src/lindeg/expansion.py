@@ -6,9 +6,10 @@ expansion is computed entirely in the coordinate space indexed by the
 parameter set P(n); PBW monomials are never materialized as noncommutative
 words, because closed forms exist for every structure constant needed:
 
-* ``two_row_pbw_expansion`` expands a product of two rows of divided powers
-  over PBW monomials (the rank-2 identity ``rank2_straighten`` applied
-  inductively), and ``pbw_coeff`` is its staircase specialization.
+* ``pbw_coeff`` is the closed form for the PBW coefficients of the
+  staircase monomial.  It is the staircase case of the general two-row
+  expansion, which ``tests/oracles.py`` keeps with the rank-2 identity it
+  rests on; the tests compare the two.
 * ``bar_transition_coeff`` is the closed form for the matrix of the bar
   involution on the PBW basis; it is supported on componentwise-comparable
   pairs only.
@@ -91,55 +92,6 @@ from .laurent import ONE, LaurentPoly, _raw, qbinom, qfact, v_power
 
 #: v^-1 - v, the prefactor of the bar transition matrix.
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
-
-
-def rank2_straighten(a: int, b: int, c: int) -> dict:
-    """Coefficients rewriting E_i^(a) E_{i+1}^(b) E_i^(c) in PBW order.
-
-    Returns {r: coefficient} for 0 <= r <= min(b, c), where the r-th term is
-    v^{-(b-r)(c-r)} [a+c-r choose a] E_i^(a+c-r) E_{i,i+1}^(r) E_{i+1}^(b-r).
-    """
-    if min(a, b, c) < 0:
-        raise ValueError("exponents must be nonnegative")
-    return {r: v_power(-(b - r) * (c - r)) * qbinom(a + c - r, a)
-            for r in range(min(b, c) + 1)}
-
-
-def two_row_pbw_expansion(e, f) -> dict:
-    """Expand E_1^(f_1)...E_n^(f_n) E_1^(e_1)...E_n^(e_n) over PBW monomials.
-
-    The PBW monomials are indexed by tuples x with 0 <= x_i <= min(e_i,
-    f_{i+1}); the coefficient of x is
-    v^{-sum (e_i - x_i)(f_{i+1} - x_i)} *
-    prod_i [e_i + f_i - x_{i-1} - x_i choose f_i - x_{i-1}].
-    Zero coefficients are dropped.
-    """
-    e, f = tuple(e), tuple(f)
-    if len(e) != len(f):
-        raise ValueError("exponent rows must have equal length")
-    if any(c < 0 for c in e + f):
-        raise ValueError("exponents must be nonnegative")
-    n = len(e)
-    out = {}
-    ranges = [range(min(e[i], f[i + 1]) + 1) for i in range(n - 1)]
-    for x in itertools.product(*ranges):
-        xe = (0,) + x + (0,)
-        exponent = -sum((e[i] - x[i]) * (f[i + 1] - x[i]) for i in range(n - 1))
-        coeff = v_power(exponent)
-        for k in range(1, n + 1):
-            coeff = coeff * qbinom(e[k - 1] + f[k - 1] - xe[k - 1] - xe[k],
-                                   f[k - 1] - xe[k - 1])
-            if not coeff:
-                break
-        if coeff:
-            out[x] = coeff
-    return out
-
-
-def staircase_exponents(n: int) -> tuple:
-    """The two exponent rows (1, ..., n) and (n, ..., 1) of the staircase
-    monomial."""
-    return tuple(range(1, n + 1)), tuple(range(n, 0, -1))
 
 
 def pbw_coeff(n: int, y) -> LaurentPoly:

@@ -48,10 +48,6 @@ class LaurentPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
         """Inverse of to_pairs(); accepts [exponent, coefficient-string] pairs."""
         return cls((int(e), int(c)) for e, c in pairs)
@@ -154,9 +150,6 @@ class LaurentPoly:
     def degree(self):
         """Largest exponent with nonzero coefficient; MINUS_INFINITY for 0."""
         return max(self._terms) if self._terms else MINUS_INFINITY
-
-    def min_exponent(self):
-        return min(self._terms) if self._terms else MINUS_INFINITY
 
     def coefficient(self, exponent: int) -> int:
         return self._terms.get(exponent, 0)

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from functools import lru_cache
+from itertools import islice
 from types import MappingProxyType
 
 from .combinatorics import (
-    bell_number,
+    _bell_numbers,
+    _motzkin_numbers,
     motzkin_number,
     motzkin_paths,
     pbw_locus_ranks,
@@ -79,7 +81,7 @@ def _differences(left: str, a: set, right: str, b: set, show) -> str:
 def tup(values) -> str:
     """An integer tuple as text, "(1, 0)", with no trailing comma at
     length one; the CLI prints tuples this way too."""
-    return "(" + ", ".join(str(v) for v in values) + ")"
+    return "(" + ", ".join(map(str, values)) + ")"
 
 
 def verify_supports(n: int) -> dict:
@@ -177,8 +179,6 @@ def asymptotics_report(max_n: int) -> list:
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    rows = []
-    for n in range(1, max_n + 1):
-        m, b = motzkin_number(n), bell_number(n)
-        rows.append((n, m, b, ratio_string(m, b)))
-    return rows
+    counts = islice(zip(_motzkin_numbers(), _bell_numbers()), 1, max_n + 1)
+    return [(n, m, b, ratio_string(m, b))
+            for n, (m, b) in enumerate(counts, start=1)]

@@ -6,19 +6,30 @@
   back-substitution for mu.  Every product is a dict-of-terms convolution,
   so they are independent of the packed-integer kernel in
   ``lindeg.expansion``; the tests compare the two for every n <= 6.
+* The general two-row PBW expansion ``two_row_pbw_expansion``, built on
+  the rank-2 identity ``rank2_straighten``; at the rows of
+  ``staircase_exponents`` it gives the closed form ``pbw_coeff`` of
+  ``lindeg.expansion``.
 * ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
   four-index maximum, against the one-sweep form in
   ``lindeg.combinatorics``.
 * ``kz_rank_general``: the dual rank entry by enumerating every monotone
   map, against the row-by-row minimum in ``lindeg.duality``.
+* ``kz_rank_near_simple`` and its wrapper ``kz_rank_simple``: the
+  near-simple closed form entry by entry, against the O(n^2) sweep
+  ``dual_rank_tuple_near_simple`` and the general formula.
 """
 
+import itertools
 from functools import lru_cache
 
 from lindeg.combinatorics import (
+    Multisegment,
     RankTuple,
+    in_parameter_set,
     is_motzkin_path,
     padded,
+    path_to_multisegment,
     ptuples,
     upper_bounds,
 )
@@ -30,7 +41,7 @@ from lindeg.expansion import (
     bar_transition_coeff,
     pbw_coeff,
 )
-from lindeg.laurent import ONE, ZERO
+from lindeg.laurent import ONE, ZERO, qbinom, v_power
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +126,55 @@ def canonical_coeffs(n: int) -> dict:
     return out
 
 
+def rank2_straighten(a: int, b: int, c: int) -> dict:
+    """Coefficients rewriting E_i^(a) E_{i+1}^(b) E_i^(c) in PBW order.
+
+    Returns {r: coefficient} for 0 <= r <= min(b, c), where the r-th term is
+    v^{-(b-r)(c-r)} [a+c-r choose a] E_i^(a+c-r) E_{i,i+1}^(r) E_{i+1}^(b-r).
+    """
+    if min(a, b, c) < 0:
+        raise ValueError("exponents must be nonnegative")
+    return {r: v_power(-(b - r) * (c - r)) * qbinom(a + c - r, a)
+            for r in range(min(b, c) + 1)}
+
+
+def two_row_pbw_expansion(e, f) -> dict:
+    """Expand E_1^(f_1)...E_n^(f_n) E_1^(e_1)...E_n^(e_n) over PBW monomials.
+
+    The PBW monomials are indexed by tuples x with 0 <= x_i <= min(e_i,
+    f_{i+1}); the coefficient of x is
+    v^{-sum (e_i - x_i)(f_{i+1} - x_i)} *
+    prod_i [e_i + f_i - x_{i-1} - x_i choose f_i - x_{i-1}].
+    Zero coefficients are dropped.
+    """
+    e, f = tuple(e), tuple(f)
+    if len(e) != len(f):
+        raise ValueError("exponent rows must have equal length")
+    if any(c < 0 for c in e + f):
+        raise ValueError("exponents must be nonnegative")
+    n = len(e)
+    out = {}
+    ranges = [range(min(e[i], f[i + 1]) + 1) for i in range(n - 1)]
+    for x in itertools.product(*ranges):
+        xe = (0,) + x + (0,)
+        exponent = -sum((e[i] - x[i]) * (f[i + 1] - x[i]) for i in range(n - 1))
+        coeff = v_power(exponent)
+        for k in range(1, n + 1):
+            coeff = coeff * qbinom(e[k - 1] + f[k - 1] - xe[k - 1] - xe[k],
+                                   f[k - 1] - xe[k - 1])
+            if not coeff:
+                break
+        if coeff:
+            out[x] = coeff
+    return out
+
+
+def staircase_exponents(n: int) -> tuple:
+    """The two exponent rows (1, ..., n) and (n, ..., 1) of the staircase
+    monomial."""
+    return tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+
+
 def rank_from_motzkin(n: int, x) -> RankTuple:
     """The support rank tuple of a Motzkin path.
 
@@ -166,3 +226,31 @@ def dual_rank_tuple_general(m) -> RankTuple:
     n = m.n
     return RankTuple(n, {(i, j): kz_rank_general(m, i, j)
                          for i in range(1, n + 1) for j in range(i, n + 1)})
+
+
+def kz_rank_near_simple(m: Multisegment, i: int, j: int) -> int:
+    """Entry (i, j) of the dual rank tuple for a near-simple multisegment."""
+    n = m.n
+    if not (1 <= i <= j <= n):
+        raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
+    if not m.is_near_simple():
+        raise ValueError("closed form requires segments of length at most 2")
+    mult = m.multiplicity
+    best = None
+    for p in range(i, j + 1):
+        head = mult(p - 1, p)
+        for q in range(p, j + 1):
+            mid = head + mult(q, q)
+            for r in range(q, j + 1):
+                total = mid + mult(r, r + 1)
+                if best is None or total < best:
+                    best = total
+    return best
+
+
+def kz_rank_simple(n: int, x, i: int, j: int) -> int:
+    """Entry (i, j) of the dual rank tuple of the near-simple multisegment
+    attached to a parameter tuple x."""
+    if not in_parameter_set(n, x):
+        raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
+    return kz_rank_near_simple(path_to_multisegment(n, x), i, j)

@@ -18,7 +18,7 @@ from lindeg.combinatorics import (
     rank_from_motzkin,
     single_peak_paths,
 )
-from lindeg.duality import dual_rank_tuple, kz_rank_general, kz_rank_simple
+from lindeg.duality import dual_rank_tuple, kz_rank_general
 from lindeg.combinatorics import path_to_multisegment
 from lindeg.expansion import (
     bar_transition_matrix,
@@ -35,6 +35,7 @@ from lindeg.supports import (
     predicted_supports,
     verify_supports,
 )
+from oracles import kz_rank_simple
 
 import itertools
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from lindeg.cli import main, quantum_label
+from lindeg.combinatorics import Multisegment
 from lindeg.laurent import LaurentPoly, qbinom, qfact, qint
 
 
@@ -145,6 +146,20 @@ def test_dual_json(capsys):
     assert code == 0
     assert doc["match"] is True
     assert doc["general"]["r"] == [[1, 1, 3], [1, 2, 2], [2, 2, 3]]
+
+
+def test_dual_mismatch_is_internal_error(capsys, monkeypatch):
+    from lindeg import cli
+
+    def wrong(m):
+        return Multisegment(m.n, {(1, m.n): 1}).rank_tuple()
+
+    monkeypatch.setattr(cli, "dual_rank_tuple_near_simple", wrong)
+    code, out, err = run_cli(capsys, "dual", "1,1=2;1,2=1;2,2=2")
+    assert code == 1
+    assert out.endswith("match: MISMATCH\n")
+    assert err == ("internal error: the closed form disagrees with the "
+                   "general duality formula\n")
 
 
 def test_dual_empty_needs_n(capsys):

@@ -23,6 +23,7 @@ from lindeg.combinatorics import (
     single_peak_paths,
     upper_bounds,
 )
+from lindeg.duality import dual_rank_tuple
 
 
 def set_partition_count(n):
@@ -205,6 +206,21 @@ def test_rank_tuple_keys_unchanged_on_supports():
         assert order == sorted(
             range(len(tuples)),
             key=lambda t: tuple(tuples[t].r[k] for k in sorted(tuples[t].r)))
+
+
+def test_off_diagonal_in_stored_order():
+    # the entries r_12, r_13, ..., r_{n-1,n}, whichever way the tuple was
+    # built: the sweep, the near-simple dual, hat(), or the public
+    # constructor from a dict in reversed key order
+    for n in range(1, 9):
+        for x in motzkin_paths(n):
+            rt = rank_from_motzkin(n, x)
+            built = (rt, rt.hat(), dual_rank_tuple(n, x),
+                     RankTuple(n, dict(reversed(list(rt.r.items())))))
+            for t in built:
+                assert t.off_diagonal() == tuple(
+                    t.r[(i, j)] for i in range(1, n + 1)
+                    for j in range(i + 1, n + 1))
 
 
 def test_hat():

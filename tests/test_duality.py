@@ -19,11 +19,10 @@ from lindeg.duality import (
     dual_rank_tuple_general,
     dual_rank_tuple_near_simple,
     kz_rank_general,
-    kz_rank_near_simple,
-    kz_rank_simple,
     monotone_maps,
     next_neighbor_rank,
 )
+from oracles import kz_rank_near_simple, kz_rank_simple
 
 
 def brute_monotone_count(nrows, ncols, lo, hi):

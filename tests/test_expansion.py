@@ -2,6 +2,7 @@
 
 import oracles
 import pytest
+from oracles import rank2_straighten, staircase_exponents, two_row_pbw_expansion
 
 from lindeg import expansion
 from lindeg.combinatorics import leq, motzkin_paths, ptuples, upper_bounds
@@ -13,10 +14,7 @@ from lindeg.expansion import (
     pbw_coeff,
     pbw_coeff_degree,
     pbw_coeff_degree_gap,
-    rank2_straighten,
     solve_products,
-    staircase_exponents,
-    two_row_pbw_expansion,
 )
 from lindeg.laurent import ONE, ZERO, LaurentPoly, qbinom, qfact, qint, v_power
 

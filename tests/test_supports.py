@@ -97,6 +97,15 @@ def test_asymptotics_rows():
     assert rows[4] == (5, 21, 52, "0.40384615384615384615")
 
 
+def test_asymptotics_equals_per_k_counts():
+    # the table reads both sequences from one pass; it must equal the
+    # single-value functions at every k
+    assert asymptotics_report(60) == [
+        (k, motzkin_number(k), bell_number(k),
+         ratio_string(motzkin_number(k), bell_number(k)))
+        for k in range(1, 61)]
+
+
 def test_ratio_monotone_decay():
     rows = asymptotics_report(30)
     ratios = [Fraction(m, b) for _, m, b, _ in rows]
