@@ -22,7 +22,12 @@ words, because closed forms exist for every structure constant needed:
   ones.
 
 All coefficients are exact Laurent polynomials; every step is deterministic
-(keys are processed by descending coordinate sum, ties lexicographic).
+(keys are processed by descending coordinate sum, ties lexicographic).  The
+stages run on a packed-integer kernel (see the notes below) and hand each
+other packed tables.  ``bar_transition_matrix`` and
+``canonical_transition_matrix`` return read-only views over them that
+decode an entry on its first read.  The Z solve consumes the table of W,
+so a later read of W walks it again.
 
 Reversal symmetry.  Write rev x for the reversed tuple.  Then
 W(x, y) = W(rev x, rev y), Z(x, y) = Z(rev x, rev y) and mu(y) = mu(rev y),
@@ -40,9 +45,10 @@ and each stage computes only one of every mirrored pair:
 * ``pbw_coeff`` is symmetric because [N choose K] = [N choose N - K], and
   ``upper_bounds`` is a palindrome, so mu inherits it from Z.
 
-A column x with rev x < x (lexicographically) of W or Z, and a coefficient
-mu(y) with rev y < y, is copied from its mirror, which comes first in the
-order the stage works in; the copy shares the mirror's objects.
+A column x with rev x < x (lexicographically) of W or Z is filled while
+its mirror, which comes first in the order the stage works in, is solved,
+and a coefficient mu(y) with rev y < y is copied from its mirror; the copy
+shares the mirror's objects.
 
 Locality of Z.  With d = x - y, ``bar_transition_coeff`` is a product over
 k = 1..n of one function g(x_{k-1}, x_k, d_{k-1}, d_k) of n and two adjacent
@@ -83,7 +89,8 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from functools import lru_cache
+from collections.abc import Mapping
+from functools import lru_cache, partial
 from operator import ne, neg
 from types import MappingProxyType
 
@@ -211,10 +218,10 @@ def _descending(keys):
 # the decoder checks every slot against the same margin.
 #
 # At one width, (value, lo) with lo the tight low exponent determines an
-# entry: trailing zero slots do not change value.  The stages intern their
-# results by it, so equal entries are one object, decoded once and packed
-# once by the next stage.  When a stage widens, it keys its intern tables
-# again at the new width, so they keep their objects.
+# entry: trailing zero slots do not change value.  W and Z intern their
+# entries by it, so equal entries are one object, and pass them on as
+# by-target tables {y: {x: packed}}.  The next stage reads such a table as
+# it is.  Only a change of width repacks a table, each object once.
 # ---------------------------------------------------------------------------
 
 #: Array typecode of a signed machine word, by slot width in bits.
@@ -309,23 +316,9 @@ def _decode(value: int, lo: int, hi: int, width: int, label):
             for i in range(0, len(raw), size)]
 
 
-#: One int object per exponent, shared by all lattices.
-_exponent = lru_cache(maxsize=None)(int)
-
-
-@lru_cache(maxsize=None)
-def _lattice(lo: int, count: int) -> tuple:
-    """The exponents lo, lo + 2, ... of count slots.  Every entry decoded on
-    the same lattice shares this tuple's int objects as its keys."""
-    return tuple(map(_exponent, range(lo, lo + 2 * count, 2)))
-
-
 def _terms(lo: int, slots) -> dict:
     """{exponent: coeff} of the nonzero slots from v^lo upwards."""
-    terms = dict(zip(_lattice(lo, len(slots)), slots))
-    if 0 in slots:
-        terms = {e: c for e, c in terms.items() if c}
-    return terms
+    return {lo + 2 * i: c for i, c in enumerate(slots) if c}
 
 
 def _dot(pairs: list, width: int, label) -> tuple:
@@ -354,8 +347,7 @@ def _dot(pairs: list, width: int, label) -> tuple:
 
 
 def _pack_by_target(matrix, width: int, stage: str, n: int) -> dict:
-    """Pack the entries of {(x, y): coeff} as {y: {x: packed}}, each
-    distinct entry object once."""
+    """Pack a plain {(x, y): coeff} by target, each entry object once."""
     by_target = {}
     packed = {}  # by id: matrix keeps every entry alive during the call
     for (x, y), p in matrix.items():
@@ -366,25 +358,30 @@ def _pack_by_target(matrix, width: int, stage: str, n: int) -> dict:
     return by_target
 
 
-def _copy_mirror(matrix: dict, x, targets) -> None:
-    """Fill column x of {(x, y): coeff} from the finished column rev x, in
-    the order of targets, sharing its entry objects."""
-    rx = x[::-1]
-    for y in targets:
-        entry = matrix.get((rx, y[::-1]))
-        if entry is not None:
-            matrix[(x, y)] = entry
+def _repack(table: dict, old: int, new: int, stage: str, n: int) -> tuple:
+    """The table moved from old- to new-bit slots, and the function that
+    moved each distinct entry object once (_UNIT stays itself)."""
+    moved = {id(_UNIT): _UNIT}
+
+    def move(p):
+        q = moved.get(id(p))
+        if q is None:
+            label = (stage, n, p[1:3])
+            q = moved[id(p)] = _pack_slots(_decode(*p[:3], old, label), p[1],
+                                           new, label)
+        return q
+    return {y: {x: move(p) for x, p in col.items()}
+            for y, col in table.items()}, move
 
 
-def _widening(units, solve, pack) -> None:
-    """Solve the units in order on the kernel, from _START_WIDTH-bit slots up.
+def _widening(units, solve, pack, width=None) -> None:
+    """Solve the units in order on the kernel, from width-bit slots up.
 
     pack(width) packs the state the units share and solve(unit, state,
     width) solves one unit, all or nothing.  When the kernel refuses a
-    coefficient bound, the width doubles, the state is packed again from
-    its exact form, and that unit is solved again; finished units stand,
-    since what they produce does not depend on the width."""
-    width = _START_WIDTH
+    coefficient bound, the width doubles, the state is packed again, and
+    that unit is solved again; finished units stand."""
+    width = width or _START_WIDTH
     state = None
     for unit in units:
         while True:
@@ -398,30 +395,88 @@ def _widening(units, solve, pack) -> None:
                 state = None
 
 
+class _PackedView(Mapping):
+    """{(x, y): coeff} over a by-target table at one width, in column order
+    (x in P(n), y in targets(x)), decoded once per packed object.  With a
+    rebuild function, the view gives its table to the consuming stage."""
+
+    def __init__(self, stage, n, targets, table, width, rebuild=None):
+        self._stage, self._n, self._targets = stage, n, targets
+        self._table, self._width, self._rebuild = table, width, rebuild
+        self._decoded = {}  # by id of the packed entry
+
+    def _packed(self, consume=False) -> tuple:
+        if self._table is None:
+            self._table, self._width = self._rebuild(self._n)
+        packed = self._table, self._width
+        if consume and self._rebuild:
+            self._table, self._decoded = None, {}
+        return packed
+
+    def __getitem__(self, key) -> LaurentPoly:
+        table = self._packed()[0]
+        try:
+            x, y = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        packed = table[y][x]
+        entry = self._decoded.get(id(packed))
+        if entry is None:
+            value, lo, hi, _ = packed
+            entry = self._decoded[id(packed)] = _raw(_terms(lo, _decode(
+                value, lo, hi, self._width, (self._stage, self._n, key))))
+        return entry
+
+    def __iter__(self):
+        table = self._packed()[0]
+        for x in ptuples(self._n):
+            for y in self._targets(x):
+                if x in table[y]:
+                    yield x, y
+
+    def __len__(self) -> int:
+        return sum(map(len, self._packed()[0].values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+def _packed_input(matrix, stage: str, n: int) -> tuple:
+    """(first width, width -> by-target table) of a stage's input: a view's
+    own table, or a plain mapping of LaurentPoly entries packed."""
+    if isinstance(matrix, _PackedView):
+        table, first = matrix._packed(consume=True)
+        return first, lambda width: (
+            table if width == first
+            else _repack(table, first, width, stage, n)[0])
+    return _START_WIDTH, partial(_pack_by_target, matrix, stage=stage, n=n)
+
+
 # ---------------------------------------------------------------------------
 # the three expansion stages
 # ---------------------------------------------------------------------------
 
-def _bar_matrix(n: int) -> dict:
-    """W on the packed kernel, one column x at a time.  A depth-first walk
-    over the coordinates of y multiplies memoized local factors
-    g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed form into shared prefix
-    products; g_n is folded into the factor for k = n - 1, so each entry
-    costs about one multiply.  Mirrored columns are copied."""
-    out = {}
+def _bar_table(n: int) -> tuple:
+    """W on the packed kernel as (by-target table, width), one column x at
+    a time.  A depth-first walk over the coordinates of y multiplies
+    memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed
+    form into shared prefix products; g_n is folded into the factor for
+    k = n - 1, so each entry costs about one multiply.  A new entry is
+    decoded once, for the slot guard and its tight norm.  Each entry also
+    fills its mirror (rev x, rev y)."""
+    table, interned = {y: {} for y in ptuples(n)}, {}
+    current = _START_WIDTH
 
     def local(xp, xk, dp, dk):
         a = n + 1 - xp - xk
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def column(x, state, width):
-        if x[::-1] < x:
-            _copy_mirror(out, x, _below(x))
-            return
-        factors, interned = state
+    def column(x, factors, width):
+        rx = x[::-1]
+        if rx < x:
+            return  # filled while its mirror rx was walked
         xe = padded(n, x)
-        found = {}
 
         def factor(k, dp, dk):
             key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
@@ -439,9 +494,10 @@ def _bar_matrix(n: int) -> dict:
                 _check_bound(norm, width, label)
                 w = interned.get((value, lo))
                 if w is None:
-                    w = interned[(value, lo)] = _raw(_terms(
-                        lo, _decode(value, lo, hi, width, label)))
-                found[(x, y)] = w
+                    slots = _decode(value, lo, hi, width, label)
+                    w = interned[(value, lo)] = (value, lo, hi,
+                                                 sum(map(abs, slots)))
+                table[y][x] = table[y[::-1]][rx] = w
                 return
             for yk in range(xe[k] + 1):
                 dk = xe[k] - yk
@@ -451,26 +507,29 @@ def _bar_matrix(n: int) -> dict:
                          hi + g[2], norm * g[3])
 
         walk(1, (), 0, *_UNIT)
-        out.update(found)
-
-    interned = {}
 
     def pack(width):
-        nonlocal interned
-        interned = {_pack(w._terms, width, ("W", n, w))[:2]: w
-                    for w in interned.values()}
-        return {}, interned
+        # a refused column is solved again and overwrites its entries
+        nonlocal table, interned, current
+        table, move = _repack(table, current, width, "W", n)
+        interned = {q[:2]: q for q in map(move, interned.values())}
+        current = width
+        return {}  # memoized packed factors at this width
 
-    _widening(ptuples(n), column, pack)
-    return out
+    _widening(ptuples(n), column, pack, current)
+    return table, current
+
+
+def _bar_matrix(n: int) -> _PackedView:
+    return _PackedView("W", n, _below, *_bar_table(n), rebuild=_bar_table)
 
 
 @lru_cache(maxsize=None)
-def bar_transition_matrix(n: int) -> MappingProxyType:
+def bar_transition_matrix(n: int) -> Mapping:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
     the parameter set; entry by entry equal to bar_transition_coeff.  The
-    cached mapping is read-only."""
-    return MappingProxyType(_bar_matrix(n))
+    cached mapping is a read-only view whose table the Z solve consumes."""
+    return _bar_matrix(n)
 
 
 @lru_cache(maxsize=None)
@@ -486,34 +545,37 @@ def _runs(pattern) -> tuple:
     return tuple(map(tuple, runs))
 
 
-def _canonical_matrix(n: int, w) -> dict:
-    """Z on the packed kernel, one column x at a time.  Mirrored columns
-    are copied.  An entry whose x - y has two or more runs is the product
-    of its run factors; an entry with one run is box-solved once per
-    reversal-canonical local key and reused (see the module docstring)."""
-    out = {}
-    # (z, packed bar(z)) by the packed bar image, and by local key; a
-    # local key of a zero entry maps to None
+def _canonical_matrix(n: int, w) -> _PackedView:
+    """Z on the packed kernel, one column x at a time, as a view over its
+    by-target table.  Each entry also fills its mirror.  An entry whose
+    x - y has two or more runs is the product of its run factors; an entry
+    with one run is box-solved once per reversal-canonical local key and
+    reused (see the module docstring)."""
+    current, w_at = _packed_input(w, "W", n)
+    table = {y: {} for y in ptuples(n)}
+    # (packed z, packed bar(z)) by the packed bar image, and by local key;
+    # a local key of a zero entry maps to None
     interned, memo = {}, {}
 
     def pack(width):
-        nonlocal interned, memo
-        again = {id(z): (z, _pack({-e: c for e, c in z._terms.items()},
-                                   width, ("Z", n, z)))
-                 for z, _ in interned.values()}
-        interned = {hit[1][:2]: hit for hit in again.values()}
-        memo = {key: hit and again[id(hit[0])] for key, hit in memo.items()}
-        return _pack_by_target(w, width, "W", n)
+        nonlocal table, interned, memo, current
+        table, move = _repack(table, current, width, "Z", n)
+        interned = {hit[1][:2]: hit for hit in
+                    (tuple(map(move, hit)) for hit in interned.values())}
+        memo = {key: hit and tuple(map(move, hit))
+                for key, hit in memo.items()}
+        current = width
+        return w_at(width)
 
     def box_solve(x, y, w_y, bars, width):
         pairs = [(w_y[x], _UNIT)] if x in w_y else []
         # bars holds neither x nor the unsolved y: the box ends drop out
         for m in _between(y, x):
-            zbar = bars.get(m)
-            if zbar is not None:
+            hit = bars.get(m)
+            if hit is not None:
                 wmy = w_y.get(m)
                 if wmy is not None:
-                    pairs.append((zbar, wmy))
+                    pairs.append((hit[1], wmy))
         if not pairs:
             return None
         label = ("Z", n, (x, y))
@@ -532,7 +594,7 @@ def _canonical_matrix(n: int, w) -> dict:
                 f"bar-antisymmetry failed solving entry ({x}, {y}) at "
                 f"n={n}: rhs = {_raw(_terms(lo, slots))}")
         # z is the part of the rhs below v^0, trimmed to its tight ends, so
-        # that bar(z) is packed tight and so are the products of such
+        # that z and bar(z) are packed tight and so are the products of such
         below = window[:len(window) // 2]
         first, end = 0, len(below)
         while end and not below[end - 1]:
@@ -545,10 +607,8 @@ def _canonical_matrix(n: int, w) -> dict:
         zslots = below[first:end]
         zbar = _pack_slots(zslots[::-1], -zlo - 2 * (end - first - 1),
                            width, label)
-        hit = interned.get(zbar[:2])
-        if hit is None:
-            hit = interned[zbar[:2]] = _raw(_terms(zlo, zslots)), zbar
-        return hit
+        return interned.setdefault(
+            zbar[:2], (_pack_slots(zslots, zlo, width, label), zbar))
 
     def product(x, y, runs, bars, width):
         # bar(Z(x, y)) is the product of the run factors' bar images; its
@@ -558,27 +618,25 @@ def _canonical_matrix(n: int, w) -> dict:
             f = bars.get(x[:i] + y[i:j] + x[j:])
             if f is None:
                 return None
-            packed = _mul(packed, f)
+            packed = _mul(packed, f[1])
         value, lo, hi, norm = packed
         label = ("Z", n, (x, y))
         _check_bound(norm, width, label)
         hit = interned.get((value, lo))
         if hit is None:
             slots = _decode(value, lo, hi, width, label)
-            hit = interned[(value, lo)] = (
-                _raw(_terms(-hi, slots[::-1])),
-                (value, lo, hi, sum(map(abs, slots))))
+            z = _pack_slots(slots[::-1], -hi, width, label)
+            hit = interned[(value, lo)] = z, (value, lo, hi, z[3])
         return hit
 
     def column(x, w_to, width):
-        targets = _descending([y for y in _below(x) if y != x])
-        if x[::-1] < x:
-            _copy_mirror(out, x, [x] + targets)
-            return
+        rx = x[::-1]
+        if rx < x:
+            return  # filled while its mirror rx was solved
         xe = padded(n, x)
-        found = {(x, x): ONE}
-        bars = {}  # packed bar images of the entries solved in this column
-        for y in targets:
+        table[x][x] = table[rx][rx] = _UNIT
+        bars = {}  # (z, bar(z)) of the entries solved in this column
+        for y in _descending(_below(x))[1:]:
             runs = _runs(tuple(map(ne, x, y)))
             if len(runs) > 1:
                 hit = product(x, y, runs, bars, width)
@@ -590,15 +648,16 @@ def _canonical_matrix(n: int, w) -> dict:
                     memo[key] = box_solve(x, y, w_to.get(y, {}), bars, width)
                 hit = memo[key]
             if hit is not None:
-                found[(x, y)], bars[y] = hit
-        out.update(found)
+                table[y][x] = table[y[::-1]][rx] = hit[0]
+                bars[y] = hit
 
-    _widening(ptuples(n), column, pack)
-    return out
+    _widening(ptuples(n), column, pack, current)
+    return _PackedView("Z", n, lambda x: _descending(_below(x)), table,
+                       current)
 
 
 @lru_cache(maxsize=None)
-def canonical_transition_matrix(n: int) -> MappingProxyType:
+def canonical_transition_matrix(n: int) -> Mapping:
     """Canonical-to-PBW transition coefficients {(x, y): coeff}, y <= x.
 
     Diagonal entries are 1.  Each off-diagonal entry z solves
@@ -609,9 +668,9 @@ def canonical_transition_matrix(n: int) -> MappingProxyType:
     side with a constant term, or one that is not bar-antisymmetric, means
     the bar-transition closed form is broken, and raises ArithmeticError.
     W is read through the name bar_transition_matrix.  Absent keys are
-    zero.  The cached mapping is read-only.
+    zero.  The cached mapping is a read-only view; mu reads its table.
     """
-    return MappingProxyType(_canonical_matrix(n, bar_transition_matrix(n)))
+    return _canonical_matrix(n, bar_transition_matrix(n))
 
 
 def _packed_pbw(n: int, y, width: int, factors: dict):
@@ -636,16 +695,17 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
 
 
 def _canonical_coeffs(n: int, zeta) -> dict:
-    """mu on the packed kernel, one coefficient at a time.  Mirrored
-    coefficients are copied."""
+    """mu on the packed kernel, one coefficient at a time, reading Z from its
+    packed table as it is.  Mirrored coefficients are copied."""
     bounds = upper_bounds(n)
     out = {}
+    first, z_at = _packed_input(zeta, "Z", n)
 
     def pack(width):
         # packed -mu(x) of the coefficients found so far
         minus_mu = {x: _neg(_pack(c._terms, width, ("mu", n, x)))
                     for x, c in out.items()}
-        return _pack_by_target(zeta, width, "Z", n), minus_mu, {}
+        return z_at(width), minus_mu, {}
 
     def coeff(y, state, width):
         z_to, minus_mu, factors = state
@@ -674,7 +734,7 @@ def _canonical_coeffs(n: int, zeta) -> dict:
             minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
             out[y] = _raw(acc)
 
-    _widening(_descending(ptuples(n)), coeff, pack)
+    _widening(_descending(ptuples(n)), coeff, pack, first)
     return out
 
 

@@ -399,6 +399,97 @@ def test_packed_stages_match_oracles(n):
         assert list(got) == list(want), (n, packed.__name__)
 
 
+def test_verify_path_decodes_nothing(monkeypatch):
+    # cold caches: W's packed table goes to the Z solve and Z's to mu as
+    # they are, W's is dropped once consumed, and no entry is decoded
+    from lindeg.supports import all_checks_pass, verify_supports
+    calls = []
+    pack_by_target = expansion._pack_by_target
+
+    def counting(matrix, width, stage, n):
+        calls.append((stage, n, width))
+        return pack_by_target(matrix, width, stage, n)
+
+    monkeypatch.setattr(expansion, "_pack_by_target", counting)
+    for cached in (canonical_coeffs, canonical_transition_matrix,
+                   bar_transition_matrix):
+        cached.cache_clear()
+    assert all_checks_pass(verify_supports(6))
+    w, z = bar_transition_matrix(6), canonical_transition_matrix(6)
+    assert calls == []
+    assert w._table is None and z._table is not None
+    assert w._decoded == {} and z._decoded == {}
+    # a later read walks W again; counting entries decodes none
+    assert len(w) == len(z) == 3240 and w._decoded == {}
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_views_behave_as_read_only_dicts(n):
+    stages = [(bar_transition_matrix(n), oracles.bar_transition_matrix(n)),
+              (canonical_transition_matrix(n),
+               oracles.canonical_transition_matrix(n))]
+    # a pair with tuples of the wrong length, and for n >= 2 an inverted one
+    absent = [((0,) * n, (0,) * n)]
+    if n >= 2:
+        absent.append(((0,) * (n - 1), upper_bounds(n)))
+    for view, want in stages:
+        assert len(view) == len(want)
+        assert list(view) == list(want)
+        assert list(view.items()) == list(want.items())
+        for key, entry in want.items():
+            assert key in view and view.get(key, ZERO) == entry
+        for key in absent:
+            assert key not in view and view.get(key, ZERO) is ZERO
+            assert view.get(key) is None
+            with pytest.raises(KeyError):
+                view[key]
+        assert None not in view and "abc" not in view
+        assert view == want and want == view
+        assert not view != want and not want != view
+        changed = dict(want)
+        last = list(changed)[-1]
+        changed[last] = changed[last] + ONE
+        assert view != changed and changed != view
+        assert not view == changed and not changed == view
+    # the Z solve gives equal views from the W view and from a plain dict
+    w = bar_transition_matrix(n)
+    from_view = expansion._canonical_matrix(n, w)
+    from_dict = expansion._canonical_matrix(n, dict(w))
+    assert from_view == from_dict == stages[1][1]
+    assert list(from_view) == list(from_dict)
+
+
+def test_stages_widen_midway_from_packed_inputs(monkeypatch):
+    # Z refuses 32-bit slots from the 21st of its 36 columns on, and mu
+    # refuses 64-bit slots for the coefficients of coordinate sum <= 2:
+    # each stage then moves its own tables and its packed input to the
+    # next width, one object per distinct entry
+    n = 5
+    pset = ptuples(n)
+    late_columns = set(pset[20:])
+    late_targets = {y for y in pset if sum(y) <= 2}
+    check_bound = expansion._check_bound
+
+    def refusing(bound, width, label):
+        stage, _, key = label
+        if ((stage == "Z" and width < 64 and key[0] in late_columns)
+                or (stage == "mu" and width < 128 and key in late_targets)):
+            raise expansion._SlotBoundError(f"refused at {width} bits")
+        check_bound(bound, width, label)
+
+    def never(*args):
+        raise AssertionError("a packed input was packed from its entries")
+
+    monkeypatch.setattr(expansion, "_check_bound", refusing)
+    monkeypatch.setattr(expansion, "_pack_by_target", never)
+    w = expansion._bar_matrix(n)
+    z = expansion._canonical_matrix(n, w)
+    assert (w._width, z._width) == (32, 64)
+    want = oracles.canonical_transition_matrix(n)
+    assert z == want and list(z) == list(want) and one_object_per_value(z)
+    assert expansion._canonical_coeffs(n, z) == oracles.canonical_coeffs(n)
+
+
 def one_object_per_value(matrix):
     distinct = {tuple(sorted(e._terms.items())) for e in matrix.values()}
     return len({id(e) for e in matrix.values()}) == len(distinct)
