@@ -98,8 +98,11 @@ def quantum_label(p: LaurentPoly) -> str:
     work = p
     factors = []
     for k in range(deg + 1, 1, -1):
-        while work.at_one() % k == 0 and work.divisible_by(qint(k)):
-            work = work.exact_div(qint(k))
+        while work.at_one() % k == 0:
+            try:
+                work = work.exact_div(qint(k))
+            except ValueError:
+                break
             factors.append(k)
             if work == 1:
                 return "".join(f"[{f}]" for f in factors)
@@ -140,10 +143,10 @@ def cmd_supports(args) -> int:
         for rt in sup:
             w.writerow(list(rt.off_diagonal()))
     else:
-        print(f"supports n={n}: {len(sup)} rank tuples "
-              f"(Motzkin number {motzkin_number(n)})")
-        for rt in sup:
-            print(tup(rt.off_diagonal()))
+        lines = [f"supports n={n}: {len(sup)} rank tuples "
+                 f"(Motzkin number {motzkin_number(n)})"]
+        lines += [tup(rt.off_diagonal()) for rt in sup]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -64,21 +64,12 @@ def upper_bounds(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _motzkin_paths(n: int) -> tuple:
     _check_n(n)
-
-    def extend(prefix, height):
-        i = len(prefix) + 1
-        if i == n:
-            # last step must return to zero
-            if height <= 1:
-                yield prefix
-            return
-        for step in (-1, 0, 1):
-            h = height + step
-            # must stay nonnegative and be able to get back to 0 by step n
-            if 0 <= h <= n - i:
-                yield from extend(prefix + (h,), h)
-
-    return tuple(extend((), 0))
+    paths = [(0,)]  # prefixes (x_0, ..., x_{i-1}), lexicographically
+    for i in range(1, n):
+        # x_i stays nonnegative and can get back to x_n = 0 in time
+        paths = [p + (h,) for p in paths
+                 for h in range(max(p[-1] - 1, 0), min(p[-1] + 1, n - i) + 1)]
+    return tuple(p[1:] for p in paths)
 
 
 def motzkin_paths(n: int) -> list:
@@ -249,8 +240,8 @@ class RankTuple:
     def hat(self) -> "RankTuple":
         """The reflection involution r_ij -> r_{n+1-j, n+1-i}."""
         n = self.n
-        return RankTuple(n, {(i, j): self.r[(n + 1 - j, n + 1 - i)]
-                             for (i, j) in self.r})
+        return _rank_tuple(n, {(i, j): self.r[(n + 1 - j, n + 1 - i)]
+                               for (i, j) in self.r})
 
     def geq_r1(self) -> bool:
         """Componentwise comparison against the threshold tuple n+1+i-j."""
@@ -346,9 +337,9 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     (x_{l-1} + x_l - x_{k-1} - x_m), with the implicit zero endpoints.
     The diagonal always comes out as n + 1.
 
-    Evaluated in one O(n) sweep over j per row i.  The minimum of x_m over
-    m in [l, j] is subtracted, i.e. the maximum of -x_m is added, so the
-    maximum over k <= l <= m separates into running extrema:
+    Evaluated in one O(n) sweep over j per row i, ``_rank_row``.  The
+    minimum of x_m over m in [l, j] is subtracted, i.e. the maximum of -x_m
+    is added, so the maximum over k <= l <= m separates into running extrema:
 
         low_l  = min over i <= k <= l of x_{k-1},
         top_m  = max over i <= l <= m of (x_{l-1} + x_l - low_l),
@@ -363,20 +354,30 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     if not is_motzkin_path(n, x):
         raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
     xe = padded(n, x)
-    r = {}
-    for i in range(1, n + 1):
-        low = xe[i - 1]
-        top = best = 0
-        for j in range(i, n + 1):
-            prev, cur = xe[j - 1], xe[j]
-            if prev < low:
-                low = prev
-            if prev + cur - low > top:
-                top = prev + cur - low
-            if top - cur > best:
-                best = top - cur
-            r[(i, j)] = n + 1 - best
-    return _rank_tuple(n, r)
+    values = [v for i in range(n) for v in _rank_row(n, xe[i:])]
+    return _rank_tuple(n, dict(zip(_triangle(n), values)))
+
+
+def _rank_row(n: int, suffix) -> list:
+    """Row i, r_ii, ..., r_in, of the rank tuple of a Motzkin path; it reads
+    only the path's padded suffix (x_{i-1}, ..., x_n)."""
+    low = suffix[0]
+    top = best = 0
+    row = []
+    for prev, cur in zip(suffix, suffix[1:]):
+        if prev < low:
+            low = prev
+        if prev + cur - low > top:
+            top = prev + cur - low
+        if top - cur > best:
+            best = top - cur
+        row.append(n + 1 - best)
+    return row
+
+
+def _triangle(n: int) -> list:
+    """The keys (i, j), 1 <= i <= j <= n, in ascending order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,5 +419,5 @@ def pbw_locus_ranks(n: int) -> list:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 r[(i, j)] = n + 1 - sum(1 for k in drops if i <= k < j)
-        out.append(RankTuple(n, r))
+        out.append(_rank_tuple(n, r))
     return out

@@ -14,8 +14,9 @@ closed form
 
 with out-of-range multiplicities read as zero.
 ``dual_rank_tuple_near_simple`` evaluates it for a whole rank tuple in
-O(n^2), one sweep over j per row i, and ``dual_rank_tuple`` applies it to
-the multisegment of a parameter tuple.
+O(n^2), one sweep over j per row i.  ``dual_rank_tuple`` runs the same
+sweep on the multisegment of a parameter tuple x, reading m_{k-1,k} =
+x_{k-1}, m_{k,k} = n + 1 - x_{k-1} - x_k and m_{k,k+1} = x_k off x.
 
 ``tests/oracles.py`` keeps the reference forms the tests compare these
 with: the enumeration over ``monotone_maps``, and the closed form
@@ -35,7 +36,6 @@ from .combinatorics import (
     _rank_tuple,
     in_parameter_set,
     padded,
-    path_to_multisegment,
 )
 
 
@@ -133,7 +133,11 @@ def next_neighbor_rank(n: int, x, i: int) -> int:
         raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
     if not 1 <= i <= n - 1:
         raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
-    xe = padded(n, x)
+    return _next_neighbor_rank(n, padded(n, x), i)
+
+
+def _next_neighbor_rank(n: int, xe, i: int) -> int:
+    """``next_neighbor_rank`` of the padded tuple xe, unchecked."""
     return n + 1 - max(0, xe[i] - xe[i + 1], xe[i] - xe[i - 1])
 
 
@@ -141,24 +145,32 @@ def dual_rank_tuple(n: int, x) -> RankTuple:
     """The full dual rank tuple of x', assembled from the closed form."""
     if not in_parameter_set(n, x):
         raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
-    return dual_rank_tuple_near_simple(path_to_multisegment(n, x))
+    xe = padded(n, x)
+    heads = (0,) + xe[:-1]
+    return _near_simple_sweep(
+        n, heads, [n + 1 - h - t for h, t in zip(heads, xe)], xe)
 
 
 def dual_rank_tuple_near_simple(m: Multisegment) -> RankTuple:
     """The full dual rank tuple of a near-simple multisegment, by the
-    closed form of the module docstring.
+    closed form of the module docstring."""
+    if not m.is_near_simple():
+        raise ValueError("closed form requires segments of length at most 2")
+    n = m.n
+    mult = m.multiplicity
+    return _near_simple_sweep(n, [mult(k - 1, k) for k in range(n + 1)],
+                              [mult(k, k) for k in range(n + 1)],
+                              [mult(k, k + 1) for k in range(n + 1)])
+
+
+def _near_simple_sweep(n: int, heads, mids, tails) -> RankTuple:
+    """The closed form from m_{k-1,k}, m_{k,k} and m_{k,k+1} at index k of
+    heads, mids and tails, k = 1..n.
 
     Row i sweeps j upwards and keeps the running minima over
     i <= p <= q <= r <= j of m_{p-1,p}, of m_{p-1,p} + m_{q,q}, and of the
     full sum m_{p-1,p} + m_{q,q} + m_{r,r+1}; the last one is r_ij.
     """
-    if not m.is_near_simple():
-        raise ValueError("closed form requires segments of length at most 2")
-    n = m.n
-    mult = m.multiplicity
-    heads = [mult(k - 1, k) for k in range(n + 1)]
-    mids = [mult(k, k) for k in range(n + 1)]
-    tails = [mult(k, k + 1) for k in range(n + 1)]
     r = {}
     for i in range(1, n + 1):
         head = heads[i]
@@ -166,9 +178,12 @@ def dual_rank_tuple_near_simple(m: Multisegment) -> RankTuple:
         best = mid + tails[i]
         r[(i, i)] = best
         for j in range(i + 1, n + 1):
-            head = min(head, heads[j])
-            mid = min(mid, head + mids[j])
-            best = min(best, mid + tails[j])
+            if heads[j] < head:
+                head = heads[j]
+            if head + mids[j] < mid:
+                mid = head + mids[j]
+            if mid + tails[j] < best:
+                best = mid + tails[j]
             r[(i, j)] = best
     return _rank_tuple(n, r)
 

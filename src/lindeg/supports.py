@@ -26,21 +26,41 @@ from types import MappingProxyType
 from .combinatorics import (
     _bell_numbers,
     _motzkin_numbers,
+    _rank_row,
+    _rank_tuple,
+    _triangle,
     motzkin_number,
     motzkin_paths,
     pbw_locus_ranks,
+    padded,
     ptuples,
     rank_from_motzkin,
     single_peak_paths,
 )
-from .duality import dual_rank_tuple, next_neighbor_rank
+from .duality import _next_neighbor_rank, dual_rank_tuple
 from .expansion import canonical_coeffs
 
 
 def predicted_supports(n: int) -> list:
-    """Support set predicted from Motzkin combinatorics, canonically sorted."""
-    found = {rank_from_motzkin(n, x) for x in motzkin_paths(n)}
-    return sorted(found, key=lambda r: r.sort_key())
+    """Support set predicted from Motzkin combinatorics, canonically sorted.
+
+    Row i of a rank tuple reads only the path's suffix from x_{i-1} on, so
+    it is swept once per distinct suffix.  Value tuples sort as ``sort_key``.
+    """
+    rows = {}
+    found = set()
+    for x in motzkin_paths(n):
+        xe = padded(n, x)
+        values = []
+        for i in range(n):
+            suffix = xe[i:]
+            row = rows.get(suffix)
+            if row is None:
+                row = rows[suffix] = _rank_row(n, suffix)
+            values += row
+        found.add(tuple(values))
+    keys = _triangle(n)
+    return [_rank_tuple(n, dict(zip(keys, v))) for v in sorted(found)]
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +149,8 @@ def verify_supports(n: int) -> dict:
 
     reduction_ok = all(
         rt.geq_r1()
-        == all(next_neighbor_rank(n, y, i) >= n for i in range(1, n))
+        == all(_next_neighbor_rank(n, padded(n, y), i) >= n
+               for i in range(1, n))
         for y, rt in duals.items())
     checks.append(_check(
         "filter_reduction",

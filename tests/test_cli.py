@@ -1,8 +1,10 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -10,7 +12,8 @@ import pytest
 
 from lindeg.cli import main, quantum_label
 from lindeg.combinatorics import Multisegment
-from lindeg.laurent import LaurentPoly, qbinom, qfact, qint
+from lindeg.expansion import canonical_coeffs
+from lindeg.laurent import ONE, LaurentPoly, qbinom, qfact, qint
 
 
 def run_cli(capsys, *argv):
@@ -300,6 +303,32 @@ def test_quantum_label():
     # not a quantum symbol: falls back to the expanded rendering
     assert quantum_label(LaurentPoly({1: 1, 0: 1})) == "v + 1"
     assert quantum_label(LaurentPoly({-2: 3})) == "3v^-2"
+
+
+def test_quantum_labels_of_canonical_coefficients():
+    # every label for n <= 6 reads back as its coefficient, and the labels
+    # equal those recorded when each factor was divided out twice (a
+    # divisibility test, then the division): SHA-256 over
+    # repr((n, y, label)) in canonical_coeffs order
+    def read_back(label):
+        if label.endswith("!"):
+            return qfact(int(label[1:-2]))
+        if " choose " in label:
+            a, b = label[1:-1].split(" choose ")
+            return qbinom(int(a), int(b))
+        if label.startswith("["):
+            return math.prod((qint(int(k)) for k in label[1:-1].split("][")),
+                             start=ONE)
+        return None
+
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for y, c in canonical_coeffs(n).items():
+            label = quantum_label(c)
+            assert read_back(label) == c or label == str(c), (n, y, label)
+            digest.update(repr((n, y, label)).encode())
+    assert digest.hexdigest() == (
+        "2803b214add114262bdca099d5836f22083f02eabac1506202d0f17b04a48f4d")
 
 
 def test_solver_arithmetic_error_is_internal_error(capsys, monkeypatch):

@@ -1,13 +1,17 @@
 """The two support pipelines, the report, and the counting table."""
 
+import gc
 from fractions import Fraction
 
 from lindeg import supports
 from lindeg.combinatorics import (
+    RankTuple,
     bell_number,
     motzkin_number,
+    motzkin_paths,
     pbw_locus_ranks,
     ptuples,
+    rank_from_motzkin,
 )
 from lindeg.supports import (
     all_checks_pass,
@@ -87,6 +91,38 @@ def test_verify_computes_each_dual_rank_once(monkeypatch):
     finally:
         supports._dual_ranks.cache_clear()
     assert sorted(calls) == ptuples(n)
+
+
+def test_filter_reduction_reads_next_neighbour_ranks(monkeypatch):
+    # the check must still check: next-neighbour ranks that never fall
+    # below n pass every parameter tuple, so the check fails
+    monkeypatch.setattr(supports, "_next_neighbor_rank",
+                        lambda n, xe, i: n + 1)
+    checks = {c["name"]: c["pass"] for c in verify_supports(5)["checks"]}
+    assert checks == {name: name != "filter_reduction"
+                      for name in EXPECTED_CHECKS}
+
+
+def test_predicted_equals_per_path_images():
+    # values and .r key order of the sorted rank_from_motzkin images
+    for n in range(1, 13):
+        images = sorted({rank_from_motzkin(n, x) for x in motzkin_paths(n)},
+                        key=lambda r: r.sort_key())
+        predicted = predicted_supports(n)
+        assert all(type(rt) is RankTuple and rt.n == n for rt in predicted)
+        assert ([list(rt.r.items()) for rt in predicted]
+                == [list(rt.r.items()) for rt in images]), n
+
+
+def test_predicted_leaves_no_cyclic_garbage():
+    # a memo held by a reference cycle lives until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        predicted_supports(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_asymptotics_rows():
