@@ -50,7 +50,7 @@ def segments_str(m: Multisegment) -> str:
 
 
 def ranks_str(rt: RankTuple) -> str:
-    return ";".join(f"{i},{j}={v}" for (i, j), v in sorted(rt.r.items()))
+    return ";".join(f"{i},{j}={v}" for i, j, v in rt.to_pairs())
 
 
 def parse_multisegment(text: str, n: int | None) -> Multisegment:
@@ -94,15 +94,21 @@ def quantum_label(p: LaurentPoly) -> str:
         k += 1
     if k * (k - 1) // 2 == deg and p == qfact(k):
         return f"[{k}]!"
-    # complete product of quantum integers, largest factors first
+    # complete product of quantum integers, largest factors first; a
+    # division by [k] is tried only where the values at v = 1 and v = 2
+    # allow it (see _value_at_two)
     work = p
+    at_one, at_two = p.at_one(), _value_at_two(p)
     factors = []
     for k in range(deg + 1, 1, -1):
-        while work.at_one() % k == 0:
+        qint_at_two = (4 ** k - 1) // 3
+        while at_one % k == 0 and at_two % qint_at_two == 0:
             try:
                 work = work.exact_div(qint(k))
             except ValueError:
                 break
+            at_one //= k
+            at_two //= qint_at_two
             factors.append(k)
             if work == 1:
                 return "".join(f"[{f}]" for f in factors)
@@ -112,6 +118,20 @@ def quantum_label(p: LaurentPoly) -> str:
             if b * (a - b) == deg and p == qbinom(a, b):
                 return f"[{a} choose {b}]"
     return str(p)
+
+
+def _value_at_two(p: LaurentPoly) -> int:
+    """v^-low p(v) at v = 2, where low is the lowest exponent of p.
+
+    For [k] it is 1 + 4 + ... + 4^(k-1) = (4^k - 1)/3, and for a product
+    the product of the factors' values, since the lowest exponents add.
+    So [k] can divide p exactly only if (4^k - 1)/3 divides this integer,
+    and the value of the quotient is the quotient of the values.
+    """
+    value = 0
+    for c in p.coefficients_descending():
+        value = 2 * value + c
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +182,9 @@ def cmd_motzkin(args) -> int:
         for x in paths:
             w.writerow(list(x))
     else:
-        print(f"motzkin n={n}: {len(paths)} paths")
-        for x in paths:
-            print(tup(x))
+        lines = [f"motzkin n={n}: {len(paths)} paths"]
+        lines += [tup(x) for x in paths]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -190,11 +210,12 @@ def cmd_expand(args) -> int:
                         " ".join(map(str, rt.off_diagonal())),
                         json.dumps(c.to_pairs())])
     else:
-        print(f"expansion n={n}: {len(rows)} terms")
-        for y, m, rt, c in rows:
-            label = str(c) if args.expanded else quantum_label(c)
-            print(f"y={tup(y)}  segments=[{segments_str(m)}]  "
-                  f"rank={tup(rt.off_diagonal())}  coeff={label}")
+        label = str if args.expanded else quantum_label
+        lines = [f"expansion n={n}: {len(rows)} terms"]
+        lines += [f"y={tup(y)}  segments=[{segments_str(m)}]  "
+                  f"rank={tup(rt.off_diagonal())}  coeff={label(c)}"
+                  for y, m, rt, c in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -215,16 +236,15 @@ def cmd_verify(args) -> int:
         for c in report["checks"]:
             w.writerow([c["name"], str(c["pass"]).lower(), c["detail"]])
     else:
-        print(f"verify n={n}: {len(report['supports'])} supports "
-              f"(Motzkin number {report['motzkin_count']})")
-        for rt in report["supports"]:
-            print(tup(rt.off_diagonal()))
-        for c in report["checks"]:
-            word = "PASS" if c["pass"] else "FAIL"
-            print(f"check {c['name']}: {word} ({c['detail']})")
+        lines = [f"verify n={n}: {len(report['supports'])} supports "
+                 f"(Motzkin number {report['motzkin_count']})"]
+        lines += [tup(rt.off_diagonal()) for rt in report["supports"]]
+        lines += [f"check {c['name']}: {'PASS' if c['pass'] else 'FAIL'} "
+                  f"({c['detail']})" for c in report["checks"]]
         passed = sum(1 for c in report["checks"] if c["pass"])
-        print(f"result: {'PASS' if ok else 'FAIL'} "
-              f"({passed}/{len(report['checks'])} checks)")
+        lines.append(f"result: {'PASS' if ok else 'FAIL'} "
+                     f"({passed}/{len(report['checks'])} checks)")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import ge, itemgetter
+from types import MappingProxyType
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +171,10 @@ class Multisegment:
 
     def rank_tuple(self) -> "RankTuple":
         """r_ij = sum of multiplicities of the intervals containing [i, j]."""
-        n = self.n
-        r = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                r[(i, j)] = sum(m for (k, l), m in self.mult.items()
-                                if k <= i and j <= l)
-        return RankTuple(n, r)
+        items = self.mult.items()
+        return _rank_tuple(self.n, tuple(
+            sum(m for (k, l), m in items if k <= i and j <= l)
+            for (i, j) in _layout(self.n).keys))
 
     def to_pairs(self) -> list:
         return [[i, j, self.mult[(i, j)]] for (i, j) in sorted(self.mult)]
@@ -195,106 +194,162 @@ class Multisegment:
 class RankTuple:
     """A full upper-triangular tuple (r_ij)_{1 <= i <= j <= n}.
 
-    The diagonal is stored even though tables usually omit it, because the
+    Stored as n and ``values``, the entries r_ij as one tuple in ascending
+    (i, j) order; ``r`` is a read-only {(i, j): r_ij} view of them.  The
+    diagonal is stored even though tables usually omit it, because the
     multisegment <-> rank conversion needs it; text output prints the
     off-diagonal entries in the order r_12, r_13, ..., r_{n-1,n}.
+    Instances are immutable, so cached ones can be handed out safely.
     """
 
-    __slots__ = ("n", "r")
+    __slots__ = ("n", "values")
 
     def __init__(self, n: int, r):
         _check_n(n)
-        data = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                try:
-                    val = r[(i, j)]
-                except KeyError:
-                    raise ValueError(f"missing entry ({i}, {j}) for n={n}")
-                if not isinstance(val, int) or val < 0:
-                    raise ValueError(f"entry ({i}, {j}) must be a nonnegative "
-                                     f"integer, got {val!r}")
-                data[(i, j)] = val
-        if len(r) != len(data):
-            extra = set(r) - set(data)
+        values = []
+        for key in _layout(n).keys:
+            try:
+                val = r[key]
+            except KeyError:
+                raise ValueError(f"missing entry {key} for n={n}")
+            if not isinstance(val, int) or val < 0:
+                raise ValueError(f"entry {key} must be a nonnegative "
+                                 f"integer, got {val!r}")
+            values.append(val)
+        if len(r) != len(values):
+            extra = set(r) - set(_layout(n).keys)
             raise ValueError(f"unexpected entries {sorted(extra)} for n={n}")
-        self.n = n
-        self.r = data
+        _set_n(self, n)
+        _set_values(self, tuple(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankTuple is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RankTuple is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _rank_tuple, (self.n, self.values)
+
+    @property
+    def r(self) -> MappingProxyType:
+        """The entries as a read-only {(i, j): r_ij} mapping, in ascending
+        key order."""
+        return MappingProxyType(dict(zip(_layout(self.n).keys, self.values)))
 
     def __getitem__(self, key):
-        return self.r[key]
+        return self.values[_layout(self.n).index[key]]
 
     def value(self, i: int, j: int) -> int:
         """Entry r_ij, with the formal value 0 outside the triangle."""
-        return self.r.get((i, j), 0)
-
-    # __init__ and _rank_tuple store the entries in ascending (i, j) order,
-    # so the next two read them in stored order
+        pos = _layout(self.n).index.get((i, j))
+        return 0 if pos is None else self.values[pos]
 
     def off_diagonal(self) -> tuple:
-        return tuple([v for (i, j), v in self.r.items() if i != j])
+        return _layout(self.n).off_diagonal(self.values)
 
     def values_ascending(self) -> tuple:
-        return tuple(self.r.values())
+        return self.values
 
     def hat(self) -> "RankTuple":
         """The reflection involution r_ij -> r_{n+1-j, n+1-i}."""
-        n = self.n
-        return _rank_tuple(n, {(i, j): self.r[(n + 1 - j, n + 1 - i)]
-                               for (i, j) in self.r})
+        return _rank_tuple(self.n, _layout(self.n).hat(self.values))
 
     def geq_r1(self) -> bool:
         """Componentwise comparison against the threshold tuple n+1+i-j."""
-        n = self.n
-        return all(v >= n + 1 + i - j for (i, j), v in self.r.items())
+        return all(map(ge, self.values, _layout(self.n).threshold))
 
     def to_multisegment(self) -> Multisegment:
         """Inclusion-exclusion inverse of Multisegment.rank_tuple()."""
-        n = self.n
-        get = self.value
+        vals = self.values + (0,)  # the formal 0 outside the triangle
         mult = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                m = (get(i, j) - get(i - 1, j) - get(i, j + 1)
-                     + get(i - 1, j + 1))
-                if m < 0:
-                    raise ValueError(
-                        f"not the rank tuple of a multisegment: "
-                        f"inclusion-exclusion gives {m} at ({i}, {j})")
-                if m:
-                    mult[(i, j)] = m
-        return Multisegment(n, mult)
+        for pos, (key, up, right, corner) in enumerate(
+                _layout(self.n).neighbours):
+            m = vals[pos] - vals[up] - vals[right] + vals[corner]
+            if m < 0:
+                raise ValueError(
+                    f"not the rank tuple of a multisegment: "
+                    f"inclusion-exclusion gives {m} at {key}")
+            if m:
+                mult[key] = m
+        return Multisegment(self.n, mult)
 
     def to_pairs(self) -> list:
-        return [[i, j, self.r[(i, j)]] for (i, j) in sorted(self.r)]
+        return [[i, j, v] for (i, j), v in zip(_layout(self.n).keys,
+                                                self.values)]
 
     def sort_key(self) -> tuple:
-        return self.values_ascending()
+        return self.values
 
     def __eq__(self, other):
         return (isinstance(other, RankTuple)
-                and self.n == other.n and self.r == other.r)
+                and self.n == other.n and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.n, self.values_ascending()))
+        return hash((self.n, self.values))
 
     def __lt__(self, other):
         if not isinstance(other, RankTuple) or self.n != other.n:
             return NotImplemented
-        return self.values_ascending() < other.values_ascending()
+        return self.values < other.values
 
     def __repr__(self):
         return f"RankTuple(n={self.n}, off_diagonal={self.off_diagonal()})"
 
 
-def _rank_tuple(n: int, r: dict) -> RankTuple:
-    """Wrap a complete dict of nonnegative int entries, built in ascending
-    (i, j) order, without validating it; for tuples the package builds
-    itself."""
-    rt = RankTuple.__new__(RankTuple)
-    rt.n = n
-    rt.r = r
+# __setattr__ refuses every assignment, so the slots are filled through
+# their descriptors
+_set_n = RankTuple.n.__set__
+_set_values = RankTuple.values.__set__
+
+
+def _rank_tuple(n: int, values: tuple) -> RankTuple:
+    """Wrap a complete tuple of nonnegative int entries, in ascending (i, j)
+    order, without validating it; for tuples the package builds itself."""
+    rt = object.__new__(RankTuple)
+    _set_n(rt, n)
+    _set_values(rt, values)
     return rt
+
+
+def _gather(positions):
+    """values -> tuple(values[p] for p in positions); one C-level
+    itemgetter call when there are two positions or more (itemgetter of
+    one position returns the entry, not a tuple)."""
+    if len(positions) >= 2:
+        return itemgetter(*positions)
+    return lambda values: tuple([values[p] for p in positions])
+
+
+class _Layout:
+    """Positions in the value tuple of a rank tuple for one n."""
+
+    __slots__ = ("keys", "index", "off_diagonal", "hat", "threshold",
+                 "neighbours")
+
+    def __init__(self, n: int):
+        # (i, j), 1 <= i <= j <= n, ascending, and (i, j) -> its position
+        self.keys = keys = tuple((i, j) for i in range(1, n + 1)
+                                 for j in range(i, n + 1))
+        self.index = index = {key: pos for pos, key in enumerate(keys)}
+        # values -> (r_12, r_13, ..., r_{n-1,n})
+        self.off_diagonal = _gather([pos for pos, (i, j) in enumerate(keys)
+                                     if i != j])
+        # values -> the values of r_{n+1-j, n+1-i}
+        self.hat = _gather([index[(n + 1 - j, n + 1 - i)]
+                            for (i, j) in keys])
+        self.threshold = tuple(n + 1 + i - j for (i, j) in keys)
+        # per position, (key, the positions of (i-1, j), (i, j+1) and
+        # (i-1, j+1)); len(keys) stands for a key outside the triangle
+        outside = len(keys)
+        self.neighbours = tuple(
+            ((i, j),) + tuple(index.get(key, outside) for key in
+                              ((i - 1, j), (i, j + 1), (i - 1, j + 1)))
+            for (i, j) in keys)
+
+
+#: the layout of one n, built once
+_layout = lru_cache(maxsize=None)(_Layout)
 
 
 def path_to_multisegment(n: int, x) -> Multisegment:
@@ -326,8 +381,7 @@ def path_to_multisegment(n: int, x) -> Multisegment:
 def r1_tuple(n: int) -> RankTuple:
     """The threshold rank tuple (n + 1 + i - j)_{i <= j}."""
     _check_n(n)
-    return RankTuple(n, {(i, j): n + 1 + i - j
-                         for i in range(1, n + 1) for j in range(i, n + 1)})
+    return _rank_tuple(n, _layout(n).threshold)
 
 
 def rank_from_motzkin(n: int, x) -> RankTuple:
@@ -354,8 +408,8 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     if not is_motzkin_path(n, x):
         raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
     xe = padded(n, x)
-    values = [v for i in range(n) for v in _rank_row(n, xe[i:])]
-    return _rank_tuple(n, dict(zip(_triangle(n), values)))
+    return _rank_tuple(n, tuple([v for i in range(n)
+                                 for v in _rank_row(n, xe[i:])]))
 
 
 def _rank_row(n: int, suffix) -> list:
@@ -373,11 +427,6 @@ def _rank_row(n: int, suffix) -> list:
             best = top - cur
         row.append(n + 1 - best)
     return row
-
-
-def _triangle(n: int) -> list:
-    """The keys (i, j), 1 <= i <= j <= n, in ascending order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +461,10 @@ def pbw_locus_ranks(n: int) -> list:
     One tuple per subset of {1, ..., n-1}; returned in bitmask order.
     """
     _check_n(n)
+    keys = _layout(n).keys
     out = []
     for mask in range(1 << (n - 1)):
         drops = {k for k in range(1, n) if mask >> (k - 1) & 1}
-        r = {}
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                r[(i, j)] = n + 1 - sum(1 for k in drops if i <= k < j)
-        out.append(_rank_tuple(n, r))
+        out.append(_rank_tuple(n, tuple(
+            n + 1 - sum(1 for k in drops if i <= k < j) for (i, j) in keys)))
     return out

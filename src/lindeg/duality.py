@@ -171,12 +171,12 @@ def _near_simple_sweep(n: int, heads, mids, tails) -> RankTuple:
     i <= p <= q <= r <= j of m_{p-1,p}, of m_{p-1,p} + m_{q,q}, and of the
     full sum m_{p-1,p} + m_{q,q} + m_{r,r+1}; the last one is r_ij.
     """
-    r = {}
+    values = []
     for i in range(1, n + 1):
         head = heads[i]
         mid = head + mids[i]
         best = mid + tails[i]
-        r[(i, i)] = best
+        values.append(best)
         for j in range(i + 1, n + 1):
             if heads[j] < head:
                 head = heads[j]
@@ -184,13 +184,14 @@ def _near_simple_sweep(n: int, heads, mids, tails) -> RankTuple:
                 mid = head + mids[j]
             if mid + tails[j] < best:
                 best = mid + tails[j]
-            r[(i, j)] = best
-    return _rank_tuple(n, r)
+            values.append(best)
+    return _rank_tuple(n, tuple(values))
 
 
 def dual_rank_tuple_general(m: Multisegment) -> RankTuple:
     """The full dual rank tuple of any multisegment, entry by entry from
     kz_rank_general."""
     n = m.n
-    return _rank_tuple(n, {(i, j): kz_rank_general(m, i, j)
-                         for i in range(1, n + 1) for j in range(i, n + 1)})
+    return _rank_tuple(n, tuple([kz_rank_general(m, i, j)
+                                 for i in range(1, n + 1)
+                                 for j in range(i, n + 1)]))

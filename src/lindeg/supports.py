@@ -28,7 +28,6 @@ from .combinatorics import (
     _motzkin_numbers,
     _rank_row,
     _rank_tuple,
-    _triangle,
     motzkin_number,
     motzkin_paths,
     pbw_locus_ranks,
@@ -44,23 +43,25 @@ from .expansion import canonical_coeffs
 def predicted_supports(n: int) -> list:
     """Support set predicted from Motzkin combinatorics, canonically sorted.
 
-    Row i of a rank tuple reads only the path's suffix from x_{i-1} on, so
-    it is swept once per distinct suffix.  Value tuples sort as ``sort_key``.
+    Row i of a rank tuple reads only the path's padded suffix
+    (x_{i-1}, ..., x_n), so the suffixes are grown right to left, one level
+    i at a time, and each row is swept once per distinct suffix.  A suffix
+    at level i carries the values of rows i..n; at level 1 the suffixes are
+    the padded Motzkin paths, and their values the rank tuples.  Value
+    tuples sort as ``sort_key``.
     """
-    rows = {}
-    found = set()
-    for x in motzkin_paths(n):
-        xe = padded(n, x)
-        values = []
-        for i in range(n):
-            suffix = xe[i:]
-            row = rows.get(suffix)
-            if row is None:
-                row = rows[suffix] = _rank_row(n, suffix)
-            values += row
-        found.add(tuple(values))
-    keys = _triangle(n)
-    return [_rank_tuple(n, dict(zip(keys, v))) for v in sorted(found)]
+    level = {(h, 0): tuple(_rank_row(n, (h, 0))) for h in range(min(n, 2))}
+    for i in range(n - 1, 0, -1):
+        longer = {}
+        for suffix, values in level.items():
+            # x_{i-1} is one step from x_i and at most i - 1, so that the
+            # path can start at x_0 = 0
+            x = suffix[0]
+            for h in range(max(x - 1, 0), min(x + 1, i - 1) + 1):
+                grown = (h,) + suffix
+                longer[grown] = tuple(_rank_row(n, grown)) + values
+        level = longer
+    return [_rank_tuple(n, v) for v in sorted(level.values())]
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +99,12 @@ def _differences(left: str, a: set, right: str, b: set, show) -> str:
     return "; " + "; ".join(parts) if parts else ""
 
 
-def tup(values) -> str:
+def tup(values: tuple) -> str:
     """An integer tuple as text, "(1, 0)", with no trailing comma at
     length one; the CLI prints tuples this way too."""
-    return "(" + ", ".join(map(str, values)) + ")"
+    if len(values) == 1:
+        return f"({values[0]})"
+    return str(values)
 
 
 def verify_supports(n: int) -> dict:

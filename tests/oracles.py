@@ -12,7 +12,8 @@
   ``lindeg.expansion``.
 * ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
   four-index maximum, against the one-sweep form in
-  ``lindeg.combinatorics``.
+  ``lindeg.combinatorics``; ``rank_entries_from_motzkin`` gives it as a
+  plain dict.
 * ``kz_rank_general``: the dual rank entry by enumerating every monotone
   map, against the row-by-row minimum in ``lindeg.duality``.
 * ``kz_rank_near_simple`` and its wrapper ``kz_rank_simple``: the
@@ -176,7 +177,13 @@ def staircase_exponents(n: int) -> tuple:
 
 
 def rank_from_motzkin(n: int, x) -> RankTuple:
-    """The support rank tuple of a Motzkin path.
+    """The support rank tuple of a Motzkin path, from
+    ``rank_entries_from_motzkin``."""
+    return RankTuple(n, rank_entries_from_motzkin(n, x))
+
+
+def rank_entries_from_motzkin(n: int, x) -> dict:
+    """The support rank tuple of a Motzkin path, as {(i, j): r_ij}.
 
     r_ij = n + 1 - max over i <= k <= l <= m <= j of
     (x_{l-1} + x_l - x_{k-1} - x_m), with the implicit zero endpoints.
@@ -195,7 +202,7 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
                 low_right = min(xe[l:j + 1])  # min of x_m over l <= m <= j
                 best = max(best, xe[l - 1] + xe[l] - low_left - low_right)
             r[(i, j)] = n + 1 - best
-    return RankTuple(n, r)
+    return r
 
 
 def kz_rank_general(m, i: int, j: int) -> int:

@@ -1,5 +1,7 @@
 """Paths, parameter tuples, multisegments, rank tuples and counts."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -291,3 +293,86 @@ def test_rank_tuple_validation():
         Multisegment(2, {(2, 1): 1})
     with pytest.raises(ValueError):
         Multisegment(2, {(1, 2): -1})
+
+
+def _check_against_entries(rt, entries):
+    """Every read of a rank tuple against its definition on the plain dict
+    {(i, j): r_ij}, built in any key order."""
+    n = rt.n
+    keys = sorted(entries)
+    assert rt.r == entries and entries == rt.r
+    assert list(rt.r) == keys
+    for i in range(n + 2):
+        for j in range(n + 2):
+            assert rt.value(i, j) == entries.get((i, j), 0), (i, j)
+            if (i, j) in entries:
+                assert rt[(i, j)] == entries[(i, j)]
+            else:
+                with pytest.raises(KeyError):
+                    rt[(i, j)]
+    assert rt.values == rt.values_ascending() == rt.sort_key() == tuple(
+        entries[k] for k in keys)
+    assert rt.off_diagonal() == tuple(entries[(i, j)] for (i, j) in keys
+                                      if i != j)
+    assert rt.to_pairs() == [[i, j, entries[(i, j)]] for (i, j) in keys]
+    assert rt.hat().r == {(i, j): entries[(n + 1 - j, n + 1 - i)]
+                          for (i, j) in keys}
+    assert rt.geq_r1() == all(v >= n + 1 + i - j
+                              for (i, j), v in entries.items())
+    get = entries.get
+    mult = {}
+    for i, j in keys:
+        m = (get((i, j), 0) - get((i - 1, j), 0) - get((i, j + 1), 0)
+             + get((i - 1, j + 1), 0))
+        assert m >= 0
+        if m:
+            mult[(i, j)] = m
+    assert rt.to_multisegment().mult == mult
+    checked = RankTuple(n, dict(reversed(list(entries.items()))))
+    assert rt == checked and checked == rt
+    assert hash(rt) == hash(checked) == hash((n, tuple(entries[k]
+                                                       for k in keys)))
+
+
+def _check_order(tuples, entries):
+    by_dict = sorted(range(len(tuples)),
+                     key=lambda t: [entries[t][k] for k in sorted(entries[t])])
+    assert sorted(range(len(tuples)), key=lambda t: tuples[t]) == by_dict
+
+
+def test_rank_tuple_reads_match_dict_definitions():
+    # the value-tuple storage against the {(i, j): r_ij} definitions, on
+    # every Motzkin path for n <= 8 and every dual rank tuple for n <= 6
+    for n in range(1, 9):
+        paths = motzkin_paths(n)
+        tuples = [rank_from_motzkin(n, x) for x in paths]
+        entries = [oracles.rank_entries_from_motzkin(n, x) for x in paths]
+        for rt, d in zip(tuples, entries):
+            _check_against_entries(rt, d)
+        _check_order(tuples, entries)
+    for n in range(1, 7):
+        keys = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        ys = ptuples(n)
+        tuples = [dual_rank_tuple(n, y) for y in ys]
+        entries = [{(i, j): oracles.kz_rank_simple(n, y, i, j)
+                    for (i, j) in reversed(keys)} for y in ys]
+        for rt, d in zip(tuples, entries):
+            _check_against_entries(rt, d)
+        _check_order(tuples, entries)
+
+
+def test_rank_tuples_are_immutable():
+    rt = rank_from_motzkin(4, (1, 1, 0))
+    before = rt.values
+    with pytest.raises(TypeError):
+        rt.r[(1, 2)] = 0
+    for name in ("n", "values", "r"):
+        with pytest.raises(AttributeError):
+            setattr(rt, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rt, name)
+    assert rt.values == before
+    for copied in (copy.copy(rt), copy.deepcopy(rt),
+                   pickle.loads(pickle.dumps(rt))):
+        assert type(copied) is RankTuple
+        assert copied == rt and copied.values == before

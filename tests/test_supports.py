@@ -3,6 +3,8 @@
 import gc
 from fractions import Fraction
 
+import pytest
+
 from lindeg import supports
 from lindeg.combinatorics import (
     RankTuple,
@@ -183,3 +185,12 @@ def test_failed_checks_name_the_differing_tuples(monkeypatch):
     assert checks["per_element_motzkin"]["detail"] == (
         "0 surviving parameter tuples vs 9 Motzkin paths; only Motzkin: "
         "(0, 0, 0), (0, 0, 1), (0, 1, 0) and 6 more")
+
+
+def test_cached_rank_tuples_cannot_be_corrupted():
+    # computed_supports hands out the tuples cached in _dual_ranks; with a
+    # plain dict behind .r this assignment broke three checks of a later
+    # verify_supports(4)
+    with pytest.raises(TypeError):
+        computed_supports(4)[0].r[(1, 2)] = 0
+    assert all_checks_pass(verify_supports(4))
