@@ -1,10 +1,11 @@
 """Multisegment duality two ways: the general formula vs closed form.
 
-The dual rank tuple of a multisegment minimizes a grid sum over monotone
-maps.  The general formula finds that minimum row by row of the grid,
-without listing the maps.  For near-simple multisegments (segments of
-length at most 2) the minimum collapses to three terms, which is what the
-support computation uses; the two are checked against each other, and
+The general formula runs the Moeglin-Waldspurger algorithm: it builds the
+dual multisegment segment by segment and reads off its rank tuple.  By
+the Knight-Zelevinsky theorem that rank tuple minimizes a grid sum over
+monotone maps.  For near-simple multisegments (segments of length at most
+2) the minimum collapses to three terms, which is what the support
+computation uses; the two are checked against each other, and one entry
 against a plain enumeration of the maps.
 """
 
@@ -33,9 +34,10 @@ print("general:    ", dual_rank_tuple_general(m).off_diagonal())
 # The general formula also handles longer segments.
 m2 = Multisegment(3, {(1, 3): 1, (2, 2): 1})
 print(f"\ngeneral multisegment {m2}:")
-print("general:", dual_rank_tuple_general(m2).off_diagonal(),
-      "diagonal", tuple(dual_rank_tuple_general(m2)[(i, i)]
-                        for i in range(1, 4)))
+dual2 = dual_rank_tuple_general(m2)
+print("general:", dual2.off_diagonal(),
+      "diagonal", tuple(dual2[(i, i)] for i in range(1, 4)))
+print("dual multisegment:", dual2.to_multisegment())
 
 # Entry (2, 3) by listing every monotone map [1, 2] x [3, 3] -> [2, 3].
 i, j = 2, 3
@@ -43,7 +45,7 @@ sums = [sum(m2.multiplicity(nu[k - 1][0] + k - i, nu[k - 1][0])
             for k in range(1, i + 1))
         for nu in monotone_maps(i, 1, i, j)]
 print(f"entry ({i}, {j}): min of {sums} = {min(sums)};",
-      "row by row:", kz_rank_general(m2, i, j))
+      "Moeglin-Waldspurger:", kz_rank_general(m2, i, j))
 
 # The next-neighbour entries decide Motzkin membership on their own:
 # a parameter tuple is a path exactly when all of them are >= n.

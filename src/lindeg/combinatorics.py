@@ -170,11 +170,19 @@ class Multisegment:
         return all(j - i <= 1 for (i, j) in self.mult)
 
     def rank_tuple(self) -> "RankTuple":
-        """r_ij = sum of multiplicities of the intervals containing [i, j]."""
-        items = self.mult.items()
-        return _rank_tuple(self.n, tuple(
-            sum(m for (k, l), m in items if k <= i and j <= l)
-            for (i, j) in _layout(self.n).keys))
+        """r_ij = sum of m_kl over the intervals [k, l] containing [i, j],
+        by 2-D suffix sums: totals[j] collects row k's sums over l >= j for
+        every k <= i."""
+        n, get = self.n, self.mult.get
+        totals = [0] * (n + 1)
+        values = []
+        for i in range(1, n + 1):
+            tail = 0
+            for j in range(n, i - 1, -1):
+                tail += get((i, j), 0)
+                totals[j] += tail
+            values += totals[i:]
+        return _rank_tuple(n, tuple(values))
 
     def to_pairs(self) -> list:
         return [[i, j, self.mult[(i, j)]] for (i, j) in sorted(self.mult)]

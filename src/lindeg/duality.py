@@ -1,13 +1,22 @@
 """Knight-Zelevinsky multisegment duality, as rank tuples.
 
-``kz_rank_general`` evaluates the full minimum formula over all monotone
-maps from the grid [1, i] x [j, n] into [i, j], for any multisegment.  It
-does not enumerate the maps (plane partitions in an i x (n - j + 1) x
-(j - i) box) but runs a min-plus recursion over the rows of the grid,
-whose number is only a binomial coefficient.
+The duality is the Zelevinsky involution m -> m'.  Moeglin and Waldspurger
+(J. reine angew. Math. 372, 1986) compute m' on the segments: take the
+largest end e and, among the segments ending at e, one with the largest
+start; at e - 1, e - 2, ... take one with the largest start strictly below
+the start taken before, until there is none.  With r segments taken, add
+[e - r + 1, e] to m', shorten each taken segment by its end, dropping it at
+length 1, and repeat until m is empty.  Knight and Zelevinsky (Adv. Math.
+117, 1996) proved that entry (i, j) of the rank tuple of m' is the minimum,
+over monotone maps nu from the grid [1, i] x [j, n] into [i, j], of the sum
+of m_{nu(k,l)+k-i, nu(k,l)+l-j} over the grid, where subscripts that leave
+the triangle 1 <= a <= b <= n contribute zero.  ``dual_rank_tuple_general``
+runs the loop and takes the rank tuple of m'.  ``tests/oracles.py`` keeps
+the minimum, by enumeration and by a min-plus recursion over grid rows, and
+the closed form below entry by entry (``kz_rank_near_simple``,
+``kz_rank_simple``).
 
-When every segment has length 1 or 2 the grid minimum collapses to the
-closed form
+When every segment has length 1 or 2 the minimum collapses to the closed form
 
     r_ij = min over i <= p <= q <= r <= j of
            (m_{p-1,p} + m_{q,q} + m_{r,r+1}),
@@ -17,18 +26,9 @@ with out-of-range multiplicities read as zero.
 O(n^2), one sweep over j per row i.  ``dual_rank_tuple`` runs the same
 sweep on the multisegment of a parameter tuple x, reading m_{k-1,k} =
 x_{k-1}, m_{k,k} = n + 1 - x_{k-1} - x_k and m_{k,k+1} = x_k off x.
-
-``tests/oracles.py`` keeps the reference forms the tests compare these
-with: the enumeration over ``monotone_maps``, and the closed form
-evaluated entry by entry (``kz_rank_near_simple``, ``kz_rank_simple``).
-The package never computes the duality as a map on multisegments, only its
-rank tuples, which is all the support computation needs.
 """
 
 from __future__ import annotations
-
-import itertools
-from operator import getitem
 
 from .combinatorics import (
     Multisegment,
@@ -72,55 +72,12 @@ def monotone_maps(nrows: int, ncols: int, lo: int, hi: int):
 
 
 def kz_rank_general(m: Multisegment, i: int, j: int) -> int:
-    """Entry (i, j) of the dual rank tuple by the full minimum formula.
-
-    Minimizes, over monotone maps nu from [1, i] x [j, n] to [i, j], the sum
-    of m_{nu(k,l)+k-i, nu(k,l)+l-j} over the grid; subscripts that leave the
-    triangle 1 <= a <= b <= n contribute zero.
-
-    A min-plus recursion over the rows of the grid.  A row is a weakly
-    increasing tuple of n - j + 1 values in [i, j], and the map is monotone
-    exactly when each row lies elementwise above the one before, so with
-    c_k(row) the summands of row k,
-
-        best_k(row) = c_k(row) + min over rows prev <= row of best_{k-1}(prev)
-
-    and the entry is the minimum of best_i.  The downset minimum is built
-    in the lexicographic order of the rows: at each row it is the minimum
-    of best(row) and of the downset minima at the rows one below it in a
-    single coordinate.  That reaches every prev <= row, since lowering the
-    leftmost coordinate where prev and row differ keeps a row weakly
-    increasing and still above prev.  With C(n - i + 1, n - j + 1) rows,
-    the cost is O(i (n - j + 1) C(n - i + 1, n - j + 1)).
-    """
+    """Entry (i, j) of the dual rank tuple, the minimum over monotone maps
+    of the module docstring, read off ``dual_rank_tuple_general``."""
     n = m.n
     if not (1 <= i <= j <= n):
         raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    ncols = n - j + 1
-    rows = list(itertools.combinations_with_replacement(range(i, j + 1),
-                                                        ncols))
-    index = {row: t for t, row in enumerate(rows)}
-    below = []  # per row, the indices of the rows one below it
-    for row in rows:
-        lower, left = [], i
-        for c, v in enumerate(row):
-            if v > left:
-                lower.append(index[row[:c] + (v - 1,) + row[c + 1:]])
-            left = v
-        below.append(lower)
-    mult = m.mult
-    down = [0] * len(rows)
-    for shift in range(1 - i, 1):  # shift = k - i for the grid rows k
-        # summand of value v in column c: m_{v+k-i, v+c}
-        cost = [[mult.get((v + shift, v + c), 0) for v in range(j + 1)]
-                for c in range(ncols)]
-        for t, row in enumerate(rows):
-            best = down[t] + sum(map(getitem, cost, row))
-            for s in below[t]:
-                if down[s] < best:
-                    best = down[s]
-            down[t] = best
-    return down[-1]
+    return dual_rank_tuple_general(m)[(i, j)]
 
 
 def next_neighbor_rank(n: int, x, i: int) -> int:
@@ -189,9 +146,43 @@ def _near_simple_sweep(n: int, heads, mids, tails) -> RankTuple:
 
 
 def dual_rank_tuple_general(m: Multisegment) -> RankTuple:
-    """The full dual rank tuple of any multisegment, entry by entry from
-    kz_rank_general."""
+    """The full dual rank tuple of any multisegment, from its dual."""
+    return _dual_multisegment(m).rank_tuple()
+
+
+def _dual_multisegment(m: Multisegment) -> Multisegment:
+    """The Zelevinsky dual of m, by the loop of the module docstring.
+
+    A chain is taken as often at once as its scarcest segment allows: a
+    taken [b, e'] shortens to [b, e' - 1], which the chain's step at e' - 1
+    passes over, as it looks strictly below b."""
     n = m.n
-    return _rank_tuple(n, tuple([kz_rank_general(m, i, j)
-                                 for i in range(1, n + 1)
-                                 for j in range(i, n + 1)]))
+    count = [[0] * (e + 1) for e in range(n + 1)]  # count[e][b]: [b, e]
+    for (b, e), k in m.mult.items():
+        count[e][b] = k
+    dual = {}
+    for e in range(n, 0, -1):
+        row, b = count[e], e
+        while b:
+            if not row[b]:
+                b -= 1
+                continue
+            starts, times = [b], row[b]  # the chain's starts at e, e - 1, ...
+            start = b
+            for below in count[e - 1:0:-1]:
+                start -= 1  # strictly below the start before, so <= this end
+                while start and not below[start]:
+                    start -= 1
+                if not start:
+                    break
+                starts.append(start)
+                if below[start] < times:
+                    times = below[start]
+            end = e
+            for start in starts:
+                count[end][start] -= times
+                end -= 1
+                if start <= end:
+                    count[end][start] += times
+            dual[(end + 1, e)] = dual.get((end + 1, e), 0) + times
+    return Multisegment(n, dual)

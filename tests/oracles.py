@@ -15,7 +15,10 @@
   ``lindeg.combinatorics``; ``rank_entries_from_motzkin`` gives it as a
   plain dict.
 * ``kz_rank_general``: the dual rank entry by enumerating every monotone
-  map, against the row-by-row minimum in ``lindeg.duality``.
+  map, and ``kz_rank_minplus``: the same minimum by a min-plus recursion
+  over the rows of the grid, whose cost grows with the number of rows (a
+  binomial coefficient), not with the number of maps; both against the
+  Moeglin-Waldspurger loop in ``lindeg.duality``.
 * ``kz_rank_near_simple`` and its wrapper ``kz_rank_simple``: the
   near-simple closed form entry by entry, against the O(n^2) sweep
   ``dual_rank_tuple_near_simple`` and the general formula.
@@ -23,6 +26,7 @@
 
 import itertools
 from functools import lru_cache
+from operator import getitem
 
 from lindeg.combinatorics import (
     Multisegment,
@@ -232,6 +236,66 @@ def dual_rank_tuple_general(m) -> RankTuple:
     """The full dual rank tuple of any multisegment, by enumeration."""
     n = m.n
     return RankTuple(n, {(i, j): kz_rank_general(m, i, j)
+                         for i in range(1, n + 1) for j in range(i, n + 1)})
+
+
+def kz_rank_minplus(m: Multisegment, i: int, j: int) -> int:
+    """Entry (i, j) of the dual rank tuple by the full minimum formula.
+
+    Minimizes, over monotone maps nu from [1, i] x [j, n] to [i, j], the sum
+    of m_{nu(k,l)+k-i, nu(k,l)+l-j} over the grid; subscripts that leave the
+    triangle 1 <= a <= b <= n contribute zero.
+
+    A min-plus recursion over the rows of the grid.  A row is a weakly
+    increasing tuple of n - j + 1 values in [i, j], and the map is monotone
+    exactly when each row lies elementwise above the one before, so with
+    c_k(row) the summands of row k,
+
+        best_k(row) = c_k(row) + min over rows prev <= row of best_{k-1}(prev)
+
+    and the entry is the minimum of best_i.  The downset minimum is built
+    in the lexicographic order of the rows: at each row it is the minimum
+    of best(row) and of the downset minima at the rows one below it in a
+    single coordinate.  That reaches every prev <= row, since lowering the
+    leftmost coordinate where prev and row differ keeps a row weakly
+    increasing and still above prev.  With C(n - i + 1, n - j + 1) rows,
+    the cost is O(i (n - j + 1) C(n - i + 1, n - j + 1)).
+    """
+    n = m.n
+    if not (1 <= i <= j <= n):
+        raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
+    ncols = n - j + 1
+    rows = list(itertools.combinations_with_replacement(range(i, j + 1),
+                                                        ncols))
+    index = {row: t for t, row in enumerate(rows)}
+    below = []  # per row, the indices of the rows one below it
+    for row in rows:
+        lower, left = [], i
+        for c, v in enumerate(row):
+            if v > left:
+                lower.append(index[row[:c] + (v - 1,) + row[c + 1:]])
+            left = v
+        below.append(lower)
+    mult = m.mult
+    down = [0] * len(rows)
+    for shift in range(1 - i, 1):  # shift = k - i for the grid rows k
+        # summand of value v in column c: m_{v+k-i, v+c}
+        cost = [[mult.get((v + shift, v + c), 0) for v in range(j + 1)]
+                for c in range(ncols)]
+        for t, row in enumerate(rows):
+            best = down[t] + sum(map(getitem, cost, row))
+            for s in below[t]:
+                if down[s] < best:
+                    best = down[s]
+            down[t] = best
+    return down[-1]
+
+
+def dual_rank_tuple_minplus(m) -> RankTuple:
+    """The full dual rank tuple of any multisegment, entry by entry from
+    ``kz_rank_minplus``."""
+    n = m.n
+    return RankTuple(n, {(i, j): kz_rank_minplus(m, i, j)
                          for i in range(1, n + 1) for j in range(i, n + 1)})
 
 

@@ -22,7 +22,8 @@ PUBLIC = {
 
 #: Reference forms that only the tests read; they live in tests/oracles.py.
 MOVED = ("rank2_straighten", "two_row_pbw_expansion", "staircase_exponents",
-         "kz_rank_near_simple", "kz_rank_simple")
+         "kz_rank_near_simple", "kz_rank_simple", "kz_rank_minplus",
+         "dual_rank_tuple_minplus")
 
 
 def test_all_is_exactly_the_public_names():

@@ -1,6 +1,7 @@
 """Paths, parameter tuples, multisegments, rank tuples and counts."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -117,6 +118,19 @@ def test_multisegment_rank():
     assert zero.rank_tuple().r == {k: 0 for k in zero.rank_tuple().r}
     one_long = Multisegment(4, {(1, 4): 1})
     assert all(v == 1 for v in one_long.rank_tuple().r.values())
+
+
+def test_rank_tuple_matches_per_entry_definition():
+    # the suffix sums against r_ij = sum of m_kl over k <= i, l >= j; all
+    # multiplicities in {0, 1, 2} up to n = 3, in {0, 1} at n = 4
+    for n, top in ((1, 2), (2, 2), (3, 2), (4, 1)):
+        keys = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        for mults in itertools.product(range(top + 1), repeat=len(keys)):
+            m = Multisegment(n, dict(zip(keys, mults)))
+            assert m.rank_tuple().r == {
+                (i, j): sum(v for (k, l), v in m.mult.items()
+                            if k <= i and j <= l)
+                for (i, j) in keys}, m
 
 
 def test_rank_multisegment_roundtrip_exhaustive():

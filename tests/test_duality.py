@@ -1,4 +1,5 @@
-"""Duality rank tuples: brute-force oracle vs closed form."""
+"""Duality rank tuples: the Moeglin-Waldspurger loop, the closed form and
+the minimum over monotone maps by enumeration and by min-plus recursion."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ from lindeg.combinatorics import (
     ptuples,
 )
 from lindeg.duality import (
+    _dual_multisegment,
     dual_rank_tuple,
     dual_rank_tuple_general,
     dual_rank_tuple_near_simple,
@@ -23,6 +25,7 @@ from lindeg.duality import (
     next_neighbor_rank,
 )
 from oracles import kz_rank_near_simple, kz_rank_simple
+from test_output_digest import _dual_pool
 
 
 def brute_monotone_count(nrows, ncols, lo, hi):
@@ -130,6 +133,49 @@ def test_row_recursion_matches_enumeration_n8():
     for text in N8_CASES:
         m = parse_multisegment(text, 8)
         assert dual_rank_tuple_general(m) == oracles.dual_rank_tuple_general(m)
+
+
+def random_multisegment(rng, n):
+    segs = intervals(n)
+    chosen = rng.sample(segs, rng.randint(1, len(segs)))
+    return Multisegment(n, {s: rng.randint(1, 4) for s in chosen})
+
+
+def test_dual_twice_gives_back_m_exhaustive():
+    # the duality is an involution: every multisegment with n <= 4 and
+    # multiplicities in {0, 1, 2}
+    for n in range(1, 5):
+        segs = intervals(n)
+        for mults in itertools.product(range(3), repeat=len(segs)):
+            m = Multisegment(n, dict(zip(segs, mults)))
+            assert _dual_multisegment(_dual_multisegment(m)) == m, m
+
+
+def test_dual_twice_gives_back_m_sampled():
+    rng = random.Random(1986)
+    for n in range(5, 11):
+        for _ in range(40):
+            m = random_multisegment(rng, n)
+            assert _dual_multisegment(_dual_multisegment(m)) == m, m
+
+
+def test_general_matches_minplus_on_benchmark_pool():
+    # the multisegments of the benchmark's ``dual`` requests, k = 1..8
+    pool = [parse_multisegment(text, k)
+            for k, texts in _dual_pool().items() for text in texts]
+    assert len(pool) == 192
+    for m in pool:
+        assert (dual_rank_tuple_general(m)
+                == oracles.dual_rank_tuple_minplus(m)), m
+
+
+def test_general_matches_minplus_sampled():
+    rng = random.Random(1996)
+    for n, count in ((9, 8), (10, 4)):
+        for _ in range(count):
+            m = random_multisegment(rng, n)
+            assert (dual_rank_tuple_general(m)
+                    == oracles.dual_rank_tuple_minplus(m)), m
 
 
 def test_general_equals_near_simple_with_free_diagonal():
