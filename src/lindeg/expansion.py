@@ -46,8 +46,8 @@ and each stage computes only one of every mirrored pair:
   ``upper_bounds`` is a palindrome, so mu inherits it from Z.
 
 A column x with rev x < x (lexicographically) of W or Z is filled while
-its mirror, which comes first in the order the stage works in, is solved,
-and a coefficient mu(y) with rev y < y is copied from its mirror; the copy
+its mirror is solved, and a coefficient mu(y) with rev y < y is copied
+from its mirror, which comes first in the order mu works in; the copy
 shares the mirror's objects.
 
 Locality of Z.  With d = x - y, ``bar_transition_coeff`` is a product over
@@ -221,7 +221,9 @@ def _descending(keys):
 # entry: trailing zero slots do not change value.  W and Z intern their
 # entries by it, so equal entries are one object, and pass them on as
 # by-target tables {y: {x: packed}}.  The next stage reads such a table as
-# it is.  Only a change of width repacks a table, each object once.
+# it is, at the width it was built at.  A refused bound restarts the whole
+# stage at twice the width: it drops what it built and builds it again,
+# and only its packed input is moved to the new width, each object once.
 # ---------------------------------------------------------------------------
 
 #: Array typecode of a signed machine word, by slot width in bits.
@@ -358,9 +360,9 @@ def _pack_by_target(matrix, width: int, stage: str, n: int) -> dict:
     return by_target
 
 
-def _repack(table: dict, old: int, new: int, stage: str, n: int) -> tuple:
-    """The table moved from old- to new-bit slots, and the function that
-    moved each distinct entry object once (_UNIT stays itself)."""
+def _repack(table: dict, old: int, new: int, stage: str, n: int) -> dict:
+    """The table moved from old- to new-bit slots, each distinct entry
+    object once (_UNIT stays itself)."""
     moved = {id(_UNIT): _UNIT}
 
     def move(p):
@@ -371,28 +373,18 @@ def _repack(table: dict, old: int, new: int, stage: str, n: int) -> tuple:
                                            new, label)
         return q
     return {y: {x: move(p) for x, p in col.items()}
-            for y, col in table.items()}, move
+            for y, col in table.items()}
 
 
-def _widening(units, solve, pack, width=None) -> None:
-    """Solve the units in order on the kernel, from width-bit slots up.
-
-    pack(width) packs the state the units share and solve(unit, state,
-    width) solves one unit, all or nothing.  When the kernel refuses a
-    coefficient bound, the width doubles, the state is packed again, and
-    that unit is solved again; finished units stand."""
-    width = width or _START_WIDTH
-    state = None
-    for unit in units:
-        while True:
-            try:
-                if state is None:
-                    state = pack(width)
-                solve(unit, state, width)
-                break
-            except _SlotBoundError:
-                width *= 2
-                state = None
+def _widening(solve, width: int):
+    """solve(width) on the kernel, from width-bit slots up.  When the kernel
+    refuses a coefficient bound, the attempt is dropped whole and solve
+    starts again from nothing at twice the width."""
+    while True:
+        try:
+            return solve(width)
+        except _SlotBoundError:
+            width *= 2
 
 
 class _PackedView(Mapping):
@@ -448,7 +440,7 @@ def _packed_input(matrix, stage: str, n: int) -> tuple:
         table, first = matrix._packed(consume=True)
         return first, lambda width: (
             table if width == first
-            else _repack(table, first, width, stage, n)[0])
+            else _repack(table, first, width, stage, n))
     return _START_WIDTH, partial(_pack_by_target, matrix, stage=stage, n=n)
 
 
@@ -464,18 +456,16 @@ def _bar_table(n: int) -> tuple:
     k = n - 1, so each entry costs about one multiply.  A new entry is
     decoded once, for the slot guard and its tight norm.  Each entry also
     fills its mirror (rev x, rev y)."""
-    table, interned = {y: {} for y in ptuples(n)}, {}
-    current = _START_WIDTH
 
     def local(xp, xk, dp, dk):
         a = n + 1 - xp - xk
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def column(x, factors, width):
+    def column(x, width, table, interned, factors):
         rx = x[::-1]
         if rx < x:
-            return  # filled while its mirror rx was walked
+            return  # filled when its mirror rx is walked
         xe = padded(n, x)
 
         def factor(k, dp, dk):
@@ -508,16 +498,15 @@ def _bar_table(n: int) -> tuple:
 
         walk(1, (), 0, *_UNIT)
 
-    def pack(width):
-        # a refused column is solved again and overwrites its entries
-        nonlocal table, interned, current
-        table, move = _repack(table, current, width, "W", n)
-        interned = {q[:2]: q for q in map(move, interned.values())}
-        current = width
-        return {}  # memoized packed factors at this width
+    def attempt(width):
+        table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
+        # the largest entries lie in the largest columns: walked from the
+        # top, a refused width shows before any work is done
+        for x in reversed(ptuples(n)):
+            column(x, width, table, interned, factors)
+        return table, width
 
-    _widening(ptuples(n), column, pack, current)
-    return table, current
+    return _widening(attempt, _START_WIDTH)
 
 
 def _bar_matrix(n: int) -> _PackedView:
@@ -551,23 +540,9 @@ def _canonical_matrix(n: int, w) -> _PackedView:
     x - y has two or more runs is the product of its run factors; an entry
     with one run is box-solved once per reversal-canonical local key and
     reused (see the module docstring)."""
-    current, w_at = _packed_input(w, "W", n)
-    table = {y: {} for y in ptuples(n)}
-    # (packed z, packed bar(z)) by the packed bar image, and by local key;
-    # a local key of a zero entry maps to None
-    interned, memo = {}, {}
+    first, w_at = _packed_input(w, "W", n)
 
-    def pack(width):
-        nonlocal table, interned, memo, current
-        table, move = _repack(table, current, width, "Z", n)
-        interned = {hit[1][:2]: hit for hit in
-                    (tuple(map(move, hit)) for hit in interned.values())}
-        memo = {key: hit and tuple(map(move, hit))
-                for key, hit in memo.items()}
-        current = width
-        return w_at(width)
-
-    def box_solve(x, y, w_y, bars, width):
+    def box_solve(x, y, w_y, bars, width, interned):
         pairs = [(w_y[x], _UNIT)] if x in w_y else []
         # bars holds neither x nor the unsolved y: the box ends drop out
         for m in _between(y, x):
@@ -610,7 +585,7 @@ def _canonical_matrix(n: int, w) -> _PackedView:
         return interned.setdefault(
             zbar[:2], (_pack_slots(zslots, zlo, width, label), zbar))
 
-    def product(x, y, runs, bars, width):
+    def product(x, y, runs, bars, width, interned):
         # bar(Z(x, y)) is the product of the run factors' bar images; its
         # ends are tight because theirs are
         packed = _UNIT
@@ -629,31 +604,38 @@ def _canonical_matrix(n: int, w) -> _PackedView:
             hit = interned[(value, lo)] = z, (value, lo, hi, z[3])
         return hit
 
-    def column(x, w_to, width):
-        rx = x[::-1]
-        if rx < x:
-            return  # filled while its mirror rx was solved
-        xe = padded(n, x)
-        table[x][x] = table[rx][rx] = _UNIT
-        bars = {}  # (z, bar(z)) of the entries solved in this column
-        for y in _descending(_below(x))[1:]:
-            runs = _runs(tuple(map(ne, x, y)))
-            if len(runs) > 1:
-                hit = product(x, y, runs, bars, width)
-            else:
-                (i, j), = runs
-                key = (xe[i], xe[j + 1], x[i:j], y[i:j])
-                key = min(key, (key[1], key[0], key[2][::-1], key[3][::-1]))
-                if key not in memo:
-                    memo[key] = box_solve(x, y, w_to.get(y, {}), bars, width)
-                hit = memo[key]
-            if hit is not None:
-                table[y][x] = table[y[::-1]][rx] = hit[0]
-                bars[y] = hit
+    def attempt(width):
+        w_to, table = w_at(width), {y: {} for y in ptuples(n)}
+        # (packed z, packed bar(z)) by the packed bar image, and by local
+        # key; a local key of a zero entry maps to None
+        interned, memo = {}, {}
+        for x in ptuples(n):
+            rx = x[::-1]
+            if rx < x:
+                continue  # filled while its mirror rx was solved
+            xe = padded(n, x)
+            table[x][x] = table[rx][rx] = _UNIT
+            bars = {}  # (z, bar(z)) of the entries solved in this column
+            for y in _descending(_below(x))[1:]:
+                runs = _runs(tuple(map(ne, x, y)))
+                if len(runs) > 1:
+                    hit = product(x, y, runs, bars, width, interned)
+                else:
+                    (i, j), = runs
+                    key = (xe[i], xe[j + 1], x[i:j], y[i:j])
+                    key = min(key, (key[1], key[0], key[2][::-1],
+                                    key[3][::-1]))
+                    if key not in memo:
+                        memo[key] = box_solve(x, y, w_to.get(y, {}), bars,
+                                              width, interned)
+                    hit = memo[key]
+                if hit is not None:
+                    table[y][x] = table[y[::-1]][rx] = hit[0]
+                    bars[y] = hit
+        return table, width
 
-    _widening(ptuples(n), column, pack, current)
-    return _PackedView("Z", n, lambda x: _descending(_below(x)), table,
-                       current)
+    return _PackedView("Z", n, lambda x: _descending(_below(x)),
+                       *_widening(attempt, first))
 
 
 @lru_cache(maxsize=None)
@@ -698,44 +680,39 @@ def _canonical_coeffs(n: int, zeta) -> dict:
     """mu on the packed kernel, one coefficient at a time, reading Z from its
     packed table as it is.  Mirrored coefficients are copied."""
     bounds = upper_bounds(n)
-    out = {}
     first, z_at = _packed_input(zeta, "Z", n)
 
-    def pack(width):
-        # packed -mu(x) of the coefficients found so far
-        minus_mu = {x: _neg(_pack(c._terms, width, ("mu", n, x)))
-                    for x, c in out.items()}
-        return z_at(width), minus_mu, {}
+    def attempt(width):
+        # minus_mu holds packed -mu(x) of the coefficients found so far
+        z_to, out, minus_mu, factors = z_at(width), {}, {}, {}
+        for y in _descending(ptuples(n)):
+            ry = y[::-1]
+            if ry < y:
+                if ry in out:
+                    out[y] = out[ry]
+                    minus_mu[y] = minus_mu[ry]
+                continue
+            label = ("mu", n, y)
+            pbw = _packed_pbw(n, y, width, factors)
+            pairs = [(pbw, _UNIT)] if pbw else []
+            z_y = z_to.get(y, {})
+            # minus_mu does not hold y yet, so the term x = y drops out
+            for x in _between(y, bounds):
+                mu_x = minus_mu.get(x)
+                if mu_x is not None:
+                    z = z_y.get(x)
+                    if z is not None:
+                        pairs.append((mu_x, z))
+            if not pairs:
+                continue
+            lo, slots = _dot(pairs, width, label)
+            acc = _terms(lo, slots)
+            if acc:
+                minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
+                out[y] = _raw(acc)
+        return out
 
-    def coeff(y, state, width):
-        z_to, minus_mu, factors = state
-        ry = y[::-1]
-        if ry < y:
-            if ry in out:
-                out[y] = out[ry]
-                minus_mu[y] = minus_mu[ry]
-            return
-        label = ("mu", n, y)
-        pbw = _packed_pbw(n, y, width, factors)
-        pairs = [(pbw, _UNIT)] if pbw else []
-        z_y = z_to.get(y, {})
-        # minus_mu does not hold y yet, so the term x = y drops out
-        for x in _between(y, bounds):
-            mu_x = minus_mu.get(x)
-            if mu_x is not None:
-                z = z_y.get(x)
-                if z is not None:
-                    pairs.append((mu_x, z))
-        if not pairs:
-            return
-        lo, slots = _dot(pairs, width, label)
-        acc = _terms(lo, slots)
-        if acc:
-            minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
-            out[y] = _raw(acc)
-
-    _widening(_descending(ptuples(n)), coeff, pack, first)
-    return out
+    return _widening(attempt, first)
 
 
 @lru_cache(maxsize=None)

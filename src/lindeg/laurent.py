@@ -218,13 +218,6 @@ class LaurentPoly:
         shift = amin - bmin
         return _raw({i * stride + shift: c for i, c in enumerate(quot) if c})
 
-    def divisible_by(self, other: "LaurentPoly") -> bool:
-        try:
-            self.exact_div(other)
-        except ValueError:
-            return False
-        return True
-
     # -- display ----------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -462,8 +462,8 @@ def test_views_behave_as_read_only_dicts(n):
 def test_stages_widen_midway_from_packed_inputs(monkeypatch):
     # Z refuses 32-bit slots from the 21st of its 36 columns on, and mu
     # refuses 64-bit slots for the coefficients of coordinate sum <= 2:
-    # each stage then moves its own tables and its packed input to the
-    # next width, one object per distinct entry
+    # each stage then drops what it built and starts again from its packed
+    # input, moved to the next width one object per distinct entry
     n = 5
     pset = ptuples(n)
     late_columns = set(pset[20:])
@@ -497,9 +497,9 @@ def one_object_per_value(matrix):
 
 @pytest.mark.parametrize("width", [8, 16, 64, 128])
 def test_packed_stages_at_other_widths(monkeypatch, width):
-    # 8- and 16-bit slots are refused by the proven bound and widened
-    # partway through each stage, and the intern tables carry their
-    # objects across; 128-bit slots take the generic byte path
+    # 8- and 16-bit slots are refused by the proven bound, and each stage
+    # starts again from nothing at the next width with fresh intern
+    # tables; 128-bit slots take the generic byte path
     monkeypatch.setattr(expansion, "_START_WIDTH", width)
     w = oracles.bar_transition_matrix(5)
     z = oracles.canonical_transition_matrix(5)
@@ -550,24 +550,48 @@ def test_kernel_refuses_slot_bound():
     assert expansion._terms(lo, slots) == {0: 1 << 80, 2: -(2 << 40), 4: 1}
 
 
-def test_widening_retries_only_the_refused_unit():
-    calls, packs = [], []
-    start = expansion._START_WIDTH
+def test_widening_restarts_from_nothing():
+    # each refusal drops the attempt whole; the next one builds its own
+    # state from nothing at twice the width
+    attempts = []
 
-    def pack(width):
-        packs.append(width)
-        return f"state@{width}"
+    def solve(width):
+        state = []
+        attempts.append((width, state))
+        for unit in "abc":
+            if unit == "b" and width < 128:
+                raise expansion._SlotBoundError("too narrow")
+            state.append(unit)
+        return state
 
-    def solve(unit, state, width):
-        calls.append((unit, state))
-        if unit == "b" and width < 4 * start:
-            raise expansion._SlotBoundError("too narrow")
+    result = expansion._widening(solve, 32)
+    assert attempts == [(32, ["a"]), (64, ["a"]), (128, ["a", "b", "c"])]
+    assert result is attempts[-1][1]
+    assert len({id(state) for _, state in attempts}) == 3
 
-    expansion._widening(["a", "b", "c"], solve, pack)
-    assert packs == [start, 2 * start, 4 * start]
-    assert calls == [("a", f"state@{start}"), ("b", f"state@{start}"),
-                     ("b", f"state@{2 * start}"), ("b", f"state@{4 * start}"),
-                     ("c", f"state@{4 * start}")]
+
+def test_first_w_entry_widens_n7(monkeypatch):
+    # the bound of W(upper_bounds(7), 0) needs 31 bits; W walks its columns
+    # from the top, so that entry is the first and only one it checks at 32
+    # bits, and W, Z and mu all run at 64 bits from then on
+    n = 7
+    calls = []
+    check_bound = expansion._check_bound
+
+    def counting(bound, width, label):
+        calls.append((label[0], width, label[2]))
+        check_bound(bound, width, label)
+
+    monkeypatch.setattr(expansion, "_check_bound", counting)
+    w = expansion._bar_matrix(n)
+    z = expansion._canonical_matrix(n, w)
+    expansion._canonical_coeffs(n, z)
+    refused = ("W", 32, (upper_bounds(n), (0,) * (n - 1)))
+    assert [c for c in calls if c[:2] == ("W", 32)] == [refused]
+    later = calls[calls.index(refused) + 1:]
+    assert {stage for stage, _, _ in later} >= {"W", "Z", "mu"}
+    assert {width for _, width, _ in later} == {64}
+    assert w._width == z._width == 64
 
 
 def test_kernel_refuses_near_limit_slot():
