@@ -256,9 +256,6 @@ class RankTuple:
     def off_diagonal(self) -> tuple:
         return _layout(self.n).off_diagonal(self.values)
 
-    def values_ascending(self) -> tuple:
-        return self.values
-
     def hat(self) -> "RankTuple":
         """The reflection involution r_ij -> r_{n+1-j, n+1-i}."""
         return _rank_tuple(self.n, _layout(self.n).hat(self.values))
@@ -285,9 +282,6 @@ class RankTuple:
     def to_pairs(self) -> list:
         return [[i, j, v] for (i, j), v in zip(_layout(self.n).keys,
                                                 self.values)]
-
-    def sort_key(self) -> tuple:
-        return self.values
 
     def __eq__(self, other):
         return (isinstance(other, RankTuple)

@@ -26,8 +26,9 @@ All coefficients are exact Laurent polynomials; every step is deterministic
 stages run on a packed-integer kernel (see the notes below) and hand each
 other packed tables.  ``bar_transition_matrix`` and
 ``canonical_transition_matrix`` return read-only views over them that
-decode an entry on its first read.  The Z solve consumes the table of W,
-so a later read of W walks it again.
+decode an entry on its first read.  The Z solve takes the table of W and
+mu takes the table of Z, so a later read of W walks it again and a later
+read of Z solves it again.
 
 Reversal symmetry.  Write rev x for the reversed tuple.  Then
 W(x, y) = W(rev x, rev y), Z(x, y) = Z(rev x, rev y) and mu(y) = mu(rev y),
@@ -220,10 +221,10 @@ def _descending(keys):
 # At one width, (value, lo) with lo the tight low exponent determines an
 # entry: trailing zero slots do not change value.  W and Z intern their
 # entries by it, so equal entries are one object, and pass them on as
-# by-target tables {y: {x: packed}}.  The next stage reads such a table as
-# it is, at the width it was built at.  A refused bound restarts the whole
-# stage at twice the width: it drops what it built and builds it again,
-# and only its packed input is moved to the new width, each object once.
+# by-target tables {y: {x: packed}}.  A view builds its stage's table once
+# and hands it on to the next stage as it is.  A refused bound restarts the
+# whole stage at twice the width: it drops what it built, and builds it
+# again from its input stage's table, built anew at the new width.
 # ---------------------------------------------------------------------------
 
 #: Array typecode of a signed machine word, by slot width in bits.
@@ -348,65 +349,44 @@ def _dot(pairs: list, width: int, label) -> tuple:
     return lo, _decode(total, lo, hi, width, label)
 
 
-def _pack_by_target(matrix, width: int, stage: str, n: int) -> dict:
-    """Pack a plain {(x, y): coeff} by target, each entry object once."""
-    by_target = {}
-    packed = {}  # by id: matrix keeps every entry alive during the call
-    for (x, y), p in matrix.items():
-        q = packed.get(id(p))
-        if q is None:
-            q = packed[id(p)] = _pack(p._terms, width, (stage, n, (x, y)))
-        by_target.setdefault(y, {})[x] = q
-    return by_target
-
-
-def _repack(table: dict, old: int, new: int, stage: str, n: int) -> dict:
-    """The table moved from old- to new-bit slots, each distinct entry
-    object once (_UNIT stays itself)."""
-    moved = {id(_UNIT): _UNIT}
-
-    def move(p):
-        q = moved.get(id(p))
-        if q is None:
-            label = (stage, n, p[1:3])
-            q = moved[id(p)] = _pack_slots(_decode(*p[:3], old, label), p[1],
-                                           new, label)
-        return q
-    return {y: {x: move(p) for x, p in col.items()}
-            for y, col in table.items()}
-
-
-def _widening(solve, width: int):
-    """solve(width) on the kernel, from width-bit slots up.  When the kernel
-    refuses a coefficient bound, the attempt is dropped whole and solve
-    starts again from nothing at twice the width."""
+def _widening(solve, width: int) -> tuple:
+    """(solve(width), width) on the kernel, from width-bit slots up.  When
+    the kernel refuses a coefficient bound, the attempt is dropped whole and
+    solve starts again from nothing at twice the width."""
     while True:
         try:
-            return solve(width)
+            return solve(width), width
         except _SlotBoundError:
             width *= 2
 
 
 class _PackedView(Mapping):
-    """{(x, y): coeff} over a by-target table at one width, in column order
-    (x in P(n), y in targets(x)), decoded once per packed object.  With a
-    rebuild function, the view gives its table to the consuming stage."""
+    """{(x, y): coeff} over the by-target table of one stage, in column
+    order (x in P(n), y in targets(x)), decoded once per packed object.
+    build(width) is the stage: the view runs it from width-bit slots up and
+    keeps the table at the first width that holds."""
 
-    def __init__(self, stage, n, targets, table, width, rebuild=None):
+    def __init__(self, stage, n, targets, build, width):
         self._stage, self._n, self._targets = stage, n, targets
-        self._table, self._width, self._rebuild = table, width, rebuild
+        self._build = build
+        self._table, self._width = _widening(build, width)
         self._decoded = {}  # by id of the packed entry
 
-    def _packed(self, consume=False) -> tuple:
+    def _packed(self) -> dict:
         if self._table is None:
-            self._table, self._width = self._rebuild(self._n)
-        packed = self._table, self._width
-        if consume and self._rebuild:
-            self._table, self._decoded = None, {}
-        return packed
+            self._table = self._build(self._width)
+        return self._table
+
+    def _take(self, width: int) -> dict:
+        """The table at width for the stage that reads it: the view's own
+        one at its width, else built anew.  Either way the view drops its
+        table; a later read builds it again at the view's width."""
+        table = self._table if width == self._width else None
+        self._table, self._decoded = None, {}
+        return self._build(width) if table is None else table
 
     def __getitem__(self, key) -> LaurentPoly:
-        table = self._packed()[0]
+        table = self._packed()
         try:
             x, y = key
         except (TypeError, ValueError):
@@ -420,49 +400,39 @@ class _PackedView(Mapping):
         return entry
 
     def __iter__(self):
-        table = self._packed()[0]
+        table = self._packed()
         for x in ptuples(self._n):
             for y in self._targets(x):
                 if x in table[y]:
                     yield x, y
 
     def __len__(self) -> int:
-        return sum(map(len, self._packed()[0].values()))
+        return sum(map(len, self._packed().values()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
-
-
-def _packed_input(matrix, stage: str, n: int) -> tuple:
-    """(first width, width -> by-target table) of a stage's input: a view's
-    own table, or a plain mapping of LaurentPoly entries packed."""
-    if isinstance(matrix, _PackedView):
-        table, first = matrix._packed(consume=True)
-        return first, lambda width: (
-            table if width == first
-            else _repack(table, first, width, stage, n))
-    return _START_WIDTH, partial(_pack_by_target, matrix, stage=stage, n=n)
 
 
 # ---------------------------------------------------------------------------
 # the three expansion stages
 # ---------------------------------------------------------------------------
 
-def _bar_table(n: int) -> tuple:
-    """W on the packed kernel as (by-target table, width), one column x at
-    a time.  A depth-first walk over the coordinates of y multiplies
-    memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed
-    form into shared prefix products; g_n is folded into the factor for
-    k = n - 1, so each entry costs about one multiply.  A new entry is
+def _bar_table(n: int, width: int) -> dict:
+    """W on the packed kernel as a by-target table in width-bit slots, one
+    column x at a time.  A depth-first walk over the coordinates of y
+    multiplies memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the
+    closed form into shared prefix products; g_n is folded into the factor
+    for k = n - 1, so each entry costs about one multiply.  A new entry is
     decoded once, for the slot guard and its tight norm.  Each entry also
     fills its mirror (rev x, rev y)."""
+    table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
 
     def local(xp, xk, dp, dk):
         a = n + 1 - xp - xk
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def column(x, width, table, interned, factors):
+    def column(x):
         rx = x[::-1]
         if rx < x:
             return  # filled when its mirror rx is walked
@@ -498,26 +468,23 @@ def _bar_table(n: int) -> tuple:
 
         walk(1, (), 0, *_UNIT)
 
-    def attempt(width):
-        table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
-        # the largest entries lie in the largest columns: walked from the
-        # top, a refused width shows before any work is done
-        for x in reversed(ptuples(n)):
-            column(x, width, table, interned, factors)
-        return table, width
-
-    return _widening(attempt, _START_WIDTH)
+    # the largest entries lie in the largest columns: walked from the top, a
+    # refused width shows before any work is done
+    for x in reversed(ptuples(n)):
+        column(x)
+    return table
 
 
 def _bar_matrix(n: int) -> _PackedView:
-    return _PackedView("W", n, _below, *_bar_table(n), rebuild=_bar_table)
+    return _PackedView("W", n, _below, partial(_bar_table, n), _START_WIDTH)
 
 
 @lru_cache(maxsize=None)
 def bar_transition_matrix(n: int) -> Mapping:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
     the parameter set; entry by entry equal to bar_transition_coeff.  The
-    cached mapping is a read-only view whose table the Z solve consumes."""
+    cached mapping is a read-only view; the Z solve takes its table, and a
+    later read builds it again."""
     return _bar_matrix(n)
 
 
@@ -534,13 +501,13 @@ def _runs(pattern) -> tuple:
     return tuple(map(tuple, runs))
 
 
-def _canonical_matrix(n: int, w) -> _PackedView:
+def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
     """Z on the packed kernel, one column x at a time, as a view over its
-    by-target table.  Each entry also fills its mirror.  An entry whose
-    x - y has two or more runs is the product of its run factors; an entry
-    with one run is box-solved once per reversal-canonical local key and
-    reused (see the module docstring)."""
-    first, w_at = _packed_input(w, "W", n)
+    by-target table; it takes the table of the W view w.  Each entry also
+    fills its mirror.  An entry whose x - y has two or more runs is the
+    product of its run factors; an entry with one run is box-solved once
+    per reversal-canonical local key and reused (see the module
+    docstring)."""
 
     def box_solve(x, y, w_y, bars, width, interned):
         pairs = [(w_y[x], _UNIT)] if x in w_y else []
@@ -605,7 +572,7 @@ def _canonical_matrix(n: int, w) -> _PackedView:
         return hit
 
     def attempt(width):
-        w_to, table = w_at(width), {y: {} for y in ptuples(n)}
+        w_to, table = w._take(width), {y: {} for y in ptuples(n)}
         # (packed z, packed bar(z)) by the packed bar image, and by local
         # key; a local key of a zero entry maps to None
         interned, memo = {}, {}
@@ -632,10 +599,10 @@ def _canonical_matrix(n: int, w) -> _PackedView:
                 if hit is not None:
                     table[y][x] = table[y[::-1]][rx] = hit[0]
                     bars[y] = hit
-        return table, width
+        return table
 
-    return _PackedView("Z", n, lambda x: _descending(_below(x)),
-                       *_widening(attempt, first))
+    return _PackedView("Z", n, lambda x: _descending(_below(x)), attempt,
+                       w._width)
 
 
 @lru_cache(maxsize=None)
@@ -650,7 +617,8 @@ def canonical_transition_matrix(n: int) -> Mapping:
     side with a constant term, or one that is not bar-antisymmetric, means
     the bar-transition closed form is broken, and raises ArithmeticError.
     W is read through the name bar_transition_matrix.  Absent keys are
-    zero.  The cached mapping is a read-only view; mu reads its table.
+    zero.  The cached mapping is a read-only view; mu takes its table, and
+    a later read solves Z again.
     """
     return _canonical_matrix(n, bar_transition_matrix(n))
 
@@ -676,15 +644,14 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
     return packed
 
 
-def _canonical_coeffs(n: int, zeta) -> dict:
-    """mu on the packed kernel, one coefficient at a time, reading Z from its
-    packed table as it is.  Mirrored coefficients are copied."""
+def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
+    """mu on the packed kernel, one coefficient at a time; it takes the
+    table of the Z view zeta.  Mirrored coefficients are copied."""
     bounds = upper_bounds(n)
-    first, z_at = _packed_input(zeta, "Z", n)
 
     def attempt(width):
         # minus_mu holds packed -mu(x) of the coefficients found so far
-        z_to, out, minus_mu, factors = z_at(width), {}, {}, {}
+        z_to, out, minus_mu, factors = zeta._take(width), {}, {}, {}
         for y in _descending(ptuples(n)):
             ry = y[::-1]
             if ry < y:
@@ -712,7 +679,7 @@ def _canonical_coeffs(n: int, zeta) -> dict:
                 out[y] = _raw(acc)
         return out
 
-    return _widening(attempt, first)
+    return _widening(attempt, zeta._width)[0]
 
 
 @lru_cache(maxsize=None)

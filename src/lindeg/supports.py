@@ -21,6 +21,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 from types import MappingProxyType
 
 from .combinatorics import (
@@ -47,8 +48,8 @@ def predicted_supports(n: int) -> list:
     (x_{i-1}, ..., x_n), so the suffixes are grown right to left, one level
     i at a time, and each row is swept once per distinct suffix.  A suffix
     at level i carries the values of rows i..n; at level 1 the suffixes are
-    the padded Motzkin paths, and their values the rank tuples.  Value
-    tuples sort as ``sort_key``.
+    the padded Motzkin paths, and their values the rank tuples, sorted
+    by ``values``.
     """
     level = {(h, 0): tuple(_rank_row(n, (h, 0))) for h in range(min(n, 2))}
     for i in range(n - 1, 0, -1):
@@ -79,7 +80,7 @@ def computed_supports(n: int) -> list:
     """
     duals = _dual_ranks(n)
     found = {duals[y] for y in canonical_coeffs(n) if duals[y].geq_r1()}
-    return sorted(found, key=lambda r: r.sort_key())
+    return sorted(found, key=attrgetter("values"))
 
 
 def _check(name: str, ok: bool, detail: str) -> dict:

@@ -215,9 +215,9 @@ def test_rank_tuple_keys_unchanged_on_supports():
             checked = RankTuple(n, dict(rt.r))
             by_sorted_keys = tuple(rt.r[k] for k in sorted(rt.r))
             assert rt == checked and checked == rt
-            assert rt.values_ascending() == by_sorted_keys
+            assert rt.values == by_sorted_keys
             assert hash(rt) == hash(checked) == hash((n, by_sorted_keys))
-            assert rt.sort_key() == checked.sort_key()
+            assert rt.values == checked.values
         order = sorted(range(len(tuples)), key=lambda t: tuples[t])
         assert order == sorted(
             range(len(tuples)),
@@ -324,8 +324,7 @@ def _check_against_entries(rt, entries):
             else:
                 with pytest.raises(KeyError):
                     rt[(i, j)]
-    assert rt.values == rt.values_ascending() == rt.sort_key() == tuple(
-        entries[k] for k in keys)
+    assert rt.values == tuple(entries[k] for k in keys)
     assert rt.off_diagonal() == tuple(entries[(i, j)] for (i, j) in keys
                                       if i != j)
     assert rt.to_pairs() == [[i, j, entries[(i, j)]] for (i, j) in keys]

@@ -126,12 +126,17 @@ def w_below(x):
     return itertools.product(*[range(c + 1) for c in x])
 
 
+W_LABEL = ("W", 2, ((1,), (0,)))
+
+
 def test_solver_rejects_broken_bar_matrix(monkeypatch):
     from lindeg import expansion
 
     def corrupted(n):
-        w = dict(bar_transition_matrix(n))
-        w[((1,), (0,))] = ONE + v_power(2)  # not bar-antisymmetrizable
+        w = expansion._bar_matrix(n)
+        entry = ONE + v_power(2)  # not bar-antisymmetrizable
+        w._packed()[(0,)][(1,)] = expansion._pack(entry._terms, w._width,
+                                                  W_LABEL)
         return w
 
     canonical_transition_matrix.cache_clear()
@@ -147,8 +152,9 @@ def test_solver_rejects_broken_bar_matrix(monkeypatch):
 @pytest.mark.parametrize("broken", [v_power(-3), VINV_MINUS_V + v_power(3)])
 def test_solver_rejects_rhs_beyond_its_mirror(broken):
     # antisymmetric where the rhs overlaps its mirror image, nonzero beyond
-    w = dict(bar_transition_matrix(2))
-    w[((1,), (0,))] = broken
+    w = expansion._bar_matrix(2)
+    w._packed()[(0,)][(1,)] = expansion._pack(broken._terms, w._width,
+                                              W_LABEL)
     with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
         expansion._canonical_matrix(2, w)
 
@@ -400,27 +406,36 @@ def test_packed_stages_match_oracles(n):
 
 
 def test_verify_path_decodes_nothing(monkeypatch):
-    # cold caches: W's packed table goes to the Z solve and Z's to mu as
-    # they are, W's is dropped once consumed, and no entry is decoded
+    # cold caches: W is built once, its packed table goes to the Z solve
+    # and Z's to mu as they are, each view drops the table it hands on,
+    # and no entry is decoded
     from lindeg.supports import all_checks_pass, verify_supports
-    calls = []
-    pack_by_target = expansion._pack_by_target
-
-    def counting(matrix, width, stage, n):
-        calls.append((stage, n, width))
-        return pack_by_target(matrix, width, stage, n)
-
-    monkeypatch.setattr(expansion, "_pack_by_target", counting)
+    builds = counting_bar_tables(monkeypatch)
     for cached in (canonical_coeffs, canonical_transition_matrix,
                    bar_transition_matrix):
         cached.cache_clear()
     assert all_checks_pass(verify_supports(6))
     w, z = bar_transition_matrix(6), canonical_transition_matrix(6)
-    assert calls == []
-    assert w._table is None and z._table is not None
+    assert builds == [(6, 32)]
+    assert w._table is None and z._table is None
     assert w._decoded == {} and z._decoded == {}
-    # a later read walks W again; counting entries decodes none
-    assert len(w) == len(z) == 3240 and w._decoded == {}
+    # a later read builds W and solves Z again, from W's table as it is;
+    # counting decodes nothing
+    assert len(w) == len(z) == 3240 and builds == [(6, 32)] * 2
+    assert w._decoded == {} and z._decoded == {}
+
+
+def counting_bar_tables(monkeypatch):
+    """Record (n, width) of every W build from here on."""
+    builds = []
+    bar_table = expansion._bar_table
+
+    def counting(n, width):
+        builds.append((n, width))
+        return bar_table(n, width)
+
+    monkeypatch.setattr(expansion, "_bar_table", counting)
+    return builds
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -451,19 +466,14 @@ def test_views_behave_as_read_only_dicts(n):
         changed[last] = changed[last] + ONE
         assert view != changed and changed != view
         assert not view == changed and not changed == view
-    # the Z solve gives equal views from the W view and from a plain dict
-    w = bar_transition_matrix(n)
-    from_view = expansion._canonical_matrix(n, w)
-    from_dict = expansion._canonical_matrix(n, dict(w))
-    assert from_view == from_dict == stages[1][1]
-    assert list(from_view) == list(from_dict)
 
 
 def test_stages_widen_midway_from_packed_inputs(monkeypatch):
     # Z refuses 32-bit slots from the 21st of its 36 columns on, and mu
     # refuses 64-bit slots for the coefficients of coordinate sum <= 2:
-    # each stage then drops what it built and starts again from its packed
-    # input, moved to the next width one object per distinct entry
+    # each stage then drops what it built and starts again from its input
+    # stage built anew at the next width, so W is built at 32, 64 (for Z)
+    # and 128 bits (for the Z that mu takes), and neither view keeps a table
     n = 5
     pset = ptuples(n)
     late_columns = set(pset[20:])
@@ -477,17 +487,16 @@ def test_stages_widen_midway_from_packed_inputs(monkeypatch):
             raise expansion._SlotBoundError(f"refused at {width} bits")
         check_bound(bound, width, label)
 
-    def never(*args):
-        raise AssertionError("a packed input was packed from its entries")
-
     monkeypatch.setattr(expansion, "_check_bound", refusing)
-    monkeypatch.setattr(expansion, "_pack_by_target", never)
+    builds = counting_bar_tables(monkeypatch)
     w = expansion._bar_matrix(n)
     z = expansion._canonical_matrix(n, w)
     assert (w._width, z._width) == (32, 64)
     want = oracles.canonical_transition_matrix(n)
     assert z == want and list(z) == list(want) and one_object_per_value(z)
     assert expansion._canonical_coeffs(n, z) == oracles.canonical_coeffs(n)
+    assert [width for _, width in builds] == [32, 64, 128]
+    assert w._table is None and z._table is None
 
 
 def one_object_per_value(matrix):
@@ -504,10 +513,11 @@ def test_packed_stages_at_other_widths(monkeypatch, width):
     w = oracles.bar_transition_matrix(5)
     z = oracles.canonical_transition_matrix(5)
     packed_w = expansion._bar_matrix(5)
-    packed_z = expansion._canonical_matrix(5, w)
+    packed_z = expansion._canonical_matrix(5, packed_w)
     assert packed_w == w and one_object_per_value(packed_w)
     assert packed_z == z and one_object_per_value(packed_z)
-    assert expansion._canonical_coeffs(5, z) == oracles.canonical_coeffs(5)
+    mu = expansion._canonical_coeffs(5, packed_z)
+    assert mu == oracles.canonical_coeffs(5)
 
 
 def test_packed_pbw_factors_decode_to_pbw_coeff():
@@ -564,9 +574,9 @@ def test_widening_restarts_from_nothing():
             state.append(unit)
         return state
 
-    result = expansion._widening(solve, 32)
+    result, width = expansion._widening(solve, 32)
     assert attempts == [(32, ["a"]), (64, ["a"]), (128, ["a", "b", "c"])]
-    assert result is attempts[-1][1]
+    assert result is attempts[-1][1] and width == 128
     assert len({id(state) for _, state in attempts}) == 3
 
 

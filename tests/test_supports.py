@@ -51,7 +51,7 @@ def test_predicted_counts_and_invariance():
     for n in range(1, 11):
         sup = predicted_supports(n)
         assert len(sup) == motzkin_number(n)
-        assert sup == sorted(sup, key=lambda r: r.sort_key())
+        assert sup == sorted(sup, key=lambda r: r.values)
     for n in range(1, 9):
         sup = set(predicted_supports(n))
         assert {rt.hat() for rt in sup} == sup
@@ -109,7 +109,7 @@ def test_predicted_equals_per_path_images():
     # values and .r key order of the sorted rank_from_motzkin images
     for n in range(1, 13):
         images = sorted({rank_from_motzkin(n, x) for x in motzkin_paths(n)},
-                        key=lambda r: r.sort_key())
+                        key=lambda r: r.values)
         predicted = predicted_supports(n)
         assert all(type(rt) is RankTuple and rt.n == n for rt in predicted)
         assert ([list(rt.r.items()) for rt in predicted]
