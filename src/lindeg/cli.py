@@ -43,10 +43,11 @@ from .supports import (
 DEFAULT_MAX_N = 8
 
 
-def segments_str(m: Multisegment) -> str:
-    if not m.mult:
+def segments_str(items) -> str:
+    """Sorted ((i, j), mult) items as "i,j=mult;...", "0" when empty."""
+    if not items:
         return "0"
-    return ";".join(f"{i},{j}={v}" for (i, j), v in sorted(m.mult.items()))
+    return ";".join(f"{i},{j}={v}" for (i, j), v in items)
 
 
 def ranks_str(rt: RankTuple) -> str:
@@ -188,33 +189,41 @@ def cmd_motzkin(args) -> int:
     return 0
 
 
-def _expansion_rows(n: int):
+@lru_cache(maxsize=None)
+def _expansion_rows(n: int) -> tuple:
+    """Rows (y, segments, rank, coefficient, label) of ``expand n`` in
+    descending y, once per n and process: the multisegment of y as sorted
+    ((i, j), mult) items, its dual rank tuple, the canonical coefficient
+    and its ``quantum_label``.  Every value is immutable; the writers
+    render them per request."""
     coeffs = canonical_coeffs(n)
-    for y in sorted(coeffs, reverse=True):
-        yield y, path_to_multisegment(n, y), dual_rank_tuple(n, y), coeffs[y]
+    return tuple(
+        (y, tuple(sorted(path_to_multisegment(n, y).mult.items())),
+         dual_rank_tuple(n, y), coeffs[y], quantum_label(coeffs[y]))
+        for y in sorted(coeffs, reverse=True))
 
 
 def cmd_expand(args) -> int:
     n = args.n
-    rows = list(_expansion_rows(n))
+    rows = _expansion_rows(n)
     if args.format == "json":
         _emit_json({"n": n, "terms": [
-            {"y": list(y), "multisegment": m.to_pairs(),
+            {"y": list(y), "multisegment": [[i, j, v] for (i, j), v in segs],
              "rank": _rank_json(rt), "coefficient": c.to_pairs()}
-            for y, m, rt, c in rows]})
+            for y, segs, rt, c, _ in rows]})
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(["y", "multisegment", "rank", "coefficient"])
-        for y, m, rt, c in rows:
-            w.writerow([" ".join(map(str, y)), segments_str(m),
+        for y, segs, rt, c, _ in rows:
+            w.writerow([" ".join(map(str, y)), segments_str(segs),
                         " ".join(map(str, rt.off_diagonal())),
                         json.dumps(c.to_pairs())])
     else:
-        label = str if args.expanded else quantum_label
         lines = [f"expansion n={n}: {len(rows)} terms"]
-        lines += [f"y={tup(y)}  segments=[{segments_str(m)}]  "
-                  f"rank={tup(rt.off_diagonal())}  coeff={label(c)}"
-                  for y, m, rt, c in rows]
+        lines += [f"y={tup(y)}  segments=[{segments_str(segs)}]  "
+                  f"rank={tup(rt.off_diagonal())}  "
+                  f"coeff={c if args.expanded else label}"
+                  for y, segs, rt, c, label in rows]
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -276,7 +285,7 @@ def cmd_dual(args) -> int:
         if near is not None:
             w.writerow(["near-simple", ranks_str(near)])
     else:
-        print(f"dual n={m.n}: {segments_str(m)}")
+        print(f"dual n={m.n}: {segments_str(sorted(m.mult.items()))}")
         print(f"general: {ranks_str(general)}")
         if near is None:
             print("near-simple: n/a (a segment of length 3 or more is present)")

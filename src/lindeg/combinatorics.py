@@ -314,6 +314,16 @@ def _rank_tuple(n: int, values: tuple) -> RankTuple:
     return rt
 
 
+def _multisegment(n: int, mult: dict) -> Multisegment:
+    """Wrap a dict {(i, j): multiplicity} of positive int multiplicities
+    on intervals 1 <= i <= j <= n, without validating or copying it; for
+    multisegments the package builds itself."""
+    m = object.__new__(Multisegment)
+    m.n = n
+    m.mult = mult
+    return m
+
+
 def _gather(positions):
     """values -> tuple(values[p] for p in positions); one C-level
     itemgetter call when there are two positions or more (itemgetter of

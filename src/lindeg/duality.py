@@ -33,6 +33,7 @@ from __future__ import annotations
 from .combinatorics import (
     Multisegment,
     RankTuple,
+    _multisegment,
     _rank_tuple,
     in_parameter_set,
     padded,
@@ -185,4 +186,4 @@ def _dual_multisegment(m: Multisegment) -> Multisegment:
                 if start <= end:
                     count[end][start] += times
             dual[(end + 1, e)] = dual.get((end + 1, e), 0) + times
-    return Multisegment(n, dual)
+    return _multisegment(n, dual)

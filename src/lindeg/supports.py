@@ -42,14 +42,25 @@ from .expansion import canonical_coeffs
 
 
 def predicted_supports(n: int) -> list:
-    """Support set predicted from Motzkin combinatorics, canonically sorted.
+    """Support set predicted from Motzkin combinatorics, canonically sorted
+    by ``values``.
+
+    The rank tuples are computed once per n and process
+    (``_predicted_supports``); every call returns a fresh list of them, so
+    a caller may change the list.  The tuples themselves are immutable.
+    """
+    return list(_predicted_supports(n))
+
+
+@lru_cache(maxsize=None)
+def _predicted_supports(n: int) -> tuple:
+    """The rank tuples of ``predicted_supports``, by a sweep over suffixes.
 
     Row i of a rank tuple reads only the path's padded suffix
     (x_{i-1}, ..., x_n), so the suffixes are grown right to left, one level
     i at a time, and each row is swept once per distinct suffix.  A suffix
     at level i carries the values of rows i..n; at level 1 the suffixes are
-    the padded Motzkin paths, and their values the rank tuples, sorted
-    by ``values``.
+    the padded Motzkin paths, and their values the rank tuples.
     """
     level = {(h, 0): tuple(_rank_row(n, (h, 0))) for h in range(min(n, 2))}
     for i in range(n - 1, 0, -1):
@@ -62,7 +73,7 @@ def predicted_supports(n: int) -> list:
                 grown = (h,) + suffix
                 longer[grown] = tuple(_rank_row(n, grown)) + values
         level = longer
-    return [_rank_tuple(n, v) for v in sorted(level.values())]
+    return tuple([_rank_tuple(n, v) for v in sorted(level.values())])
 
 
 @lru_cache(maxsize=None)
@@ -195,15 +206,29 @@ def ratio_string(num: int, den: int, digits: int = 20) -> str:
     return s
 
 
+#: The rows of ``asymptotics_report`` for n = 1..len, grown on demand.  It
+#: is rebound, never changed in place, so a caller racing another can at
+#: worst put back a shorter, still correct prefix.
+_asymptotics_rows = ()
+
+
 def asymptotics_report(max_n: int) -> list:
     """Rows (n, motzkin_number, bell_number, ratio) for n = 1..max_n.
 
     The counts are exact big integers; the ratio column renders the exact
     quotient at 20 significant digits.  The ratio is strictly decreasing
-    from n = 4 on and vanishes exponentially fast.
+    from n = 4 on and vanishes exponentially fast.  Each row is computed
+    once per process, when a larger max_n than before first asks for it;
+    every call returns a fresh list.
     """
+    global _asymptotics_rows
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    counts = islice(zip(_motzkin_numbers(), _bell_numbers()), 1, max_n + 1)
-    return [(n, m, b, ratio_string(m, b))
-            for n, (m, b) in enumerate(counts, start=1)]
+    rows = _asymptotics_rows
+    if len(rows) < max_n:
+        counts = islice(zip(_motzkin_numbers(), _bell_numbers()),
+                        len(rows) + 1, max_n + 1)
+        rows = _asymptotics_rows = rows + tuple(
+            (n, m, b, ratio_string(m, b))
+            for n, (m, b) in enumerate(counts, start=len(rows) + 1))
+    return list(rows[:max_n])

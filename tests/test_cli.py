@@ -283,6 +283,65 @@ def test_byte_identical_reruns(capsys):
         assert first == second
 
 
+def test_warm_supports_makes_no_rank_row_call(capsys, monkeypatch):
+    from lindeg import supports
+
+    calls = []
+    rank_row = supports._rank_row
+
+    def counting(n, suffix):
+        calls.append(suffix)
+        return rank_row(n, suffix)
+
+    monkeypatch.setattr(supports, "_rank_row", counting)
+    supports._predicted_supports.cache_clear()
+    try:
+        cold = run_cli(capsys, "supports", "8")
+        assert calls
+        calls.clear()
+        assert run_cli(capsys, "supports", "8") == cold
+        assert calls == []
+    finally:
+        supports._predicted_supports.cache_clear()
+
+
+def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
+    from lindeg import cli
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return quantum_label(p)
+
+    monkeypatch.setattr(cli, "quantum_label", counting)
+    cli._expansion_rows.cache_clear()
+    try:
+        cold = run_cli(capsys, "expand", "5")
+        assert len(calls) == 36
+        calls.clear()
+        assert run_cli(capsys, "expand", "5") == cold
+        assert calls == []
+    finally:
+        cli._expansion_rows.cache_clear()
+
+
+def test_cached_expansion_rows_hold_only_immutable_values():
+    from lindeg import cli
+    from lindeg.combinatorics import RankTuple
+
+    def check(value):
+        assert type(value) in (tuple, int, str, RankTuple, LaurentPoly), value
+        if type(value) is tuple:
+            for item in value:
+                check(item)
+
+    for n in range(1, 6):
+        rows = cli._expansion_rows(n)
+        assert len(rows) == len(canonical_coeffs(n))
+        check(rows)
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lindeg", "motzkin", "2"],

@@ -170,6 +170,18 @@ def test_general_matches_minplus_on_benchmark_pool():
                 == oracles.dual_rank_tuple_minplus(m)), m
 
 
+def test_unchecked_dual_equals_validated_multisegment():
+    # _dual_multisegment wraps its dict unchecked; the validating
+    # constructor must accept it and give back the same items in order
+    for k, texts in _dual_pool().items():
+        for text in texts:
+            dual = _dual_multisegment(parse_multisegment(text, k))
+            checked = Multisegment(dual.n, dual.mult)
+            assert type(dual) is Multisegment and dual.n == k
+            assert list(dual.mult.items()) == list(checked.mult.items())
+            assert dual == checked and hash(dual) == hash(checked), text
+
+
 def test_general_matches_minplus_sampled():
     rng = random.Random(1996)
     for n, count in ((9, 8), (10, 4)):

@@ -117,7 +117,9 @@ def test_predicted_equals_per_path_images():
 
 
 def test_predicted_leaves_no_cyclic_garbage():
-    # a memo held by a reference cycle lives until a full collection
+    # a memo held by a reference cycle lives until a full collection; the
+    # cache is cleared first, so the sweep itself runs with gc disabled
+    supports._predicted_supports.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -125,6 +127,28 @@ def test_predicted_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_reports_are_fresh_lists_each_call():
+    # a caller's change to a returned list never reaches the cache
+    for report in (predicted_supports, asymptotics_report):
+        expected = list(report(5))
+        report(5).append("junk")
+        report(5).clear()
+        assert report(5) == expected, report
+    asymptotics_report(3).append("junk")
+    assert asymptotics_report(4) == asymptotics_report(5)[:4]
+
+
+def test_asymptotics_cache_grows_only_as_asked(monkeypatch):
+    # from an empty cache: compute, take a prefix, grow, take a prefix
+    monkeypatch.setattr(supports, "_asymptotics_rows", ())
+    for max_n in (60, 5, 61, 1):
+        assert asymptotics_report(max_n) == [
+            (k, motzkin_number(k), bell_number(k),
+             ratio_string(motzkin_number(k), bell_number(k)))
+            for k in range(1, max_n + 1)], max_n
+    assert len(supports._asymptotics_rows) == 61
 
 
 def test_asymptotics_rows():
