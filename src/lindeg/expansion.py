@@ -553,23 +553,18 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
             zbar[:2], (_pack_slots(zslots, zlo, width, label), zbar))
 
     def product(x, y, runs, bars, width, interned):
-        # bar(Z(x, y)) is the product of the run factors' bar images; its
-        # ends are tight because theirs are
-        packed = _UNIT
+        # Z(x, y) and its bar image are the products of the run factors'
+        # (z, bar(z)) pairs.  Their ends are tight because the factors' are,
+        # and so is their norm: Z has nonnegative coefficients (Lusztig's
+        # positivity), so the norm of a product is the product of the norms
+        z = zbar = _UNIT
         for i, j in runs:
             f = bars.get(x[:i] + y[i:j] + x[j:])
             if f is None:
                 return None
-            packed = _mul(packed, f[1])
-        value, lo, hi, norm = packed
-        label = ("Z", n, (x, y))
-        _check_bound(norm, width, label)
-        hit = interned.get((value, lo))
-        if hit is None:
-            slots = _decode(value, lo, hi, width, label)
-            z = _pack_slots(slots[::-1], -hi, width, label)
-            hit = interned[(value, lo)] = z, (value, lo, hi, z[3])
-        return hit
+            z, zbar = _mul(z, f[0]), _mul(zbar, f[1])
+        _check_bound(z[3], width, ("Z", n, (x, y)))
+        return interned.setdefault(zbar[:2], (z, zbar))
 
     def attempt(width):
         w_to, table = w._take(width), {y: {} for y in ptuples(n)}
@@ -646,8 +641,9 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
 
 def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
     """mu on the packed kernel, one coefficient at a time; it takes the
-    table of the Z view zeta.  Mirrored coefficients are copied."""
-    bounds = upper_bounds(n)
+    table of the Z view zeta.  mu(y) sums over Z's row for y, which holds
+    exactly the nonzero Z(x, y); the sum is exact, so the order of its
+    terms does not matter.  Mirrored coefficients are copied."""
 
     def attempt(width):
         # minus_mu holds packed -mu(x) of the coefficients found so far
@@ -662,14 +658,11 @@ def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
             label = ("mu", n, y)
             pbw = _packed_pbw(n, y, width, factors)
             pairs = [(pbw, _UNIT)] if pbw else []
-            z_y = z_to.get(y, {})
             # minus_mu does not hold y yet, so the term x = y drops out
-            for x in _between(y, bounds):
+            for x, z in z_to[y].items():
                 mu_x = minus_mu.get(x)
                 if mu_x is not None:
-                    z = z_y.get(x)
-                    if z is not None:
-                        pairs.append((mu_x, z))
+                    pairs.append((mu_x, z))
             if not pairs:
                 continue
             lo, slots = _dot(pairs, width, label)

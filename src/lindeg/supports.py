@@ -27,8 +27,6 @@ from types import MappingProxyType
 from .combinatorics import (
     _bell_numbers,
     _motzkin_numbers,
-    _rank_row,
-    _rank_tuple,
     motzkin_number,
     motzkin_paths,
     pbw_locus_ranks,
@@ -42,8 +40,8 @@ from .expansion import canonical_coeffs
 
 
 def predicted_supports(n: int) -> list:
-    """Support set predicted from Motzkin combinatorics, canonically sorted
-    by ``values``.
+    """Support set predicted from Motzkin combinatorics: the rank tuples
+    of the Motzkin paths, canonically sorted by ``values``.
 
     The rank tuples are computed once per n and process
     (``_predicted_supports``); every call returns a fresh list of them, so
@@ -54,26 +52,10 @@ def predicted_supports(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _predicted_supports(n: int) -> tuple:
-    """The rank tuples of ``predicted_supports``, by a sweep over suffixes.
-
-    Row i of a rank tuple reads only the path's padded suffix
-    (x_{i-1}, ..., x_n), so the suffixes are grown right to left, one level
-    i at a time, and each row is swept once per distinct suffix.  A suffix
-    at level i carries the values of rows i..n; at level 1 the suffixes are
-    the padded Motzkin paths, and their values the rank tuples.
-    """
-    level = {(h, 0): tuple(_rank_row(n, (h, 0))) for h in range(min(n, 2))}
-    for i in range(n - 1, 0, -1):
-        longer = {}
-        for suffix, values in level.items():
-            # x_{i-1} is one step from x_i and at most i - 1, so that the
-            # path can start at x_0 = 0
-            x = suffix[0]
-            for h in range(max(x - 1, 0), min(x + 1, i - 1) + 1):
-                grown = (h,) + suffix
-                longer[grown] = tuple(_rank_row(n, grown)) + values
-        level = longer
-    return tuple([_rank_tuple(n, v) for v in sorted(level.values())])
+    """The rank tuples of ``predicted_supports``: ``rank_from_motzkin`` of
+    every Motzkin path, sorted by ``values``."""
+    return tuple(sorted([rank_from_motzkin(n, x) for x in motzkin_paths(n)],
+                        key=attrgetter("values")))
 
 
 @lru_cache(maxsize=None)

@@ -283,21 +283,21 @@ def test_byte_identical_reruns(capsys):
         assert first == second
 
 
-def test_warm_supports_makes_no_rank_row_call(capsys, monkeypatch):
+def test_warm_supports_makes_no_rank_from_motzkin_call(capsys, monkeypatch):
     from lindeg import supports
 
     calls = []
-    rank_row = supports._rank_row
+    rank_from_motzkin = supports.rank_from_motzkin
 
-    def counting(n, suffix):
-        calls.append(suffix)
-        return rank_row(n, suffix)
+    def counting(n, x):
+        calls.append(x)
+        return rank_from_motzkin(n, x)
 
-    monkeypatch.setattr(supports, "_rank_row", counting)
+    monkeypatch.setattr(supports, "rank_from_motzkin", counting)
     supports._predicted_supports.cache_clear()
     try:
         cold = run_cli(capsys, "supports", "8")
-        assert calls
+        assert len(calls) == 323  # one per Motzkin path
         calls.clear()
         assert run_cli(capsys, "supports", "8") == cold
         assert calls == []

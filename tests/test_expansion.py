@@ -389,6 +389,38 @@ def test_box_solves_one_per_local_key(monkeypatch):
     assert len(labels) == len(keys) == 441
 
 
+def test_z_solve_decodes_once_per_box_solved_key(monkeypatch):
+    # W is built before counting starts; the Z solve decodes only the box
+    # sums, one per reversal-canonical one-run key, and none of its
+    # multi-run products
+    n = 6
+    w = expansion._bar_matrix(n)
+    labels = []
+    decode = expansion._decode
+
+    def counting(value, lo, hi, width, label):
+        labels.append(label)
+        return decode(value, lo, hi, width, label)
+
+    monkeypatch.setattr(expansion, "_decode", counting)
+    expansion._canonical_matrix(n, w)
+    assert all(stage == "Z" for stage, _, _ in labels)
+    assert len(labels) == 441
+
+
+def test_z_entries_are_packed_tight():
+    # the multi-run products take the product of their factors' norms as
+    # their norm, and their ends as tight: this holds because every entry
+    # is tight, its norm the sum of the absolute values of its slots
+    for n in range(1, 7):
+        z = expansion._canonical_matrix(n, expansion._bar_matrix(n))
+        for column in z._packed().values():
+            for value, lo, hi, norm in column.values():
+                slots = expansion._decode(value, lo, hi, z._width, LABEL)
+                assert norm == sum(map(abs, slots)), (n, value, lo)
+                assert slots[0] and slots[-1], (n, value, lo)
+
+
 # -- packed kernel against the dict-path oracles ------------------------------
 
 @pytest.mark.parametrize("n", range(1, 7))
