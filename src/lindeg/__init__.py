@@ -51,8 +51,6 @@ from .expansion import (
     canonical_coeffs,
     canonical_transition_matrix,
     pbw_coeff,
-    pbw_coeff_degree,
-    pbw_coeff_degree_gap,
 )
 from .supports import (
     all_checks_pass,
@@ -76,7 +74,7 @@ __all__ = [
     "monotone_maps", "kz_rank_general", "next_neighbor_rank",
     "dual_rank_tuple", "dual_rank_tuple_general",
     "dual_rank_tuple_near_simple",
-    "pbw_coeff", "pbw_coeff_degree", "pbw_coeff_degree_gap",
+    "pbw_coeff",
     "bar_transition_coeff", "bar_transition_matrix",
     "canonical_transition_matrix", "canonical_coeffs",
     "predicted_supports", "computed_supports", "verify_supports",

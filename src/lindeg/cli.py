@@ -6,12 +6,19 @@ Exit codes: 0 on success, 1 on failed verification or an internal error
 Output is byte-identical across runs with identical arguments; the cost
 warning for a raised size cap goes to standard error so it never perturbs
 the report stream.
+
+``supports``, ``motzkin``, ``expand`` and ``asymptotics`` print pure
+functions of their arguments, so each of their reports is rendered once
+per process into one immutable string and written with a single write.
+``verify`` renders per request, because a repeated verify must run its
+checks again, and so does ``dual``, whose input is arbitrary.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from functools import lru_cache
@@ -139,53 +146,58 @@ def _value_at_two(p: LaurentPoly) -> int:
 # writers
 # ---------------------------------------------------------------------------
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _lines_text(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def _rank_json(rt: RankTuple) -> dict:
     return {"n": rt.n, "r": rt.to_pairs()}
 
 
-def cmd_supports(args) -> int:
-    n = args.n
+@lru_cache(maxsize=None)
+def _supports_text(n: int, fmt: str) -> str:
     sup = predicted_supports(n)
-    if args.format == "json":
-        _emit_json({"n": n, "count": len(sup),
-                    "supports": [_rank_json(rt) for rt in sup]})
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow([f"r_{i}_{j}" for i in range(1, n + 1)
-                    for j in range(i + 1, n + 1)])
-        for rt in sup:
-            w.writerow(list(rt.off_diagonal()))
-    else:
-        lines = [f"supports n={n}: {len(sup)} rank tuples "
-                 f"(Motzkin number {motzkin_number(n)})"]
-        lines += [tup(rt.off_diagonal()) for rt in sup]
-        sys.stdout.write("\n".join(lines) + "\n")
+    if fmt == "json":
+        return _json_text({"n": n, "count": len(sup),
+                           "supports": [_rank_json(rt) for rt in sup]})
+    if fmt == "csv":
+        return _csv_text([[f"r_{i}_{j}" for i in range(1, n + 1)
+                           for j in range(i + 1, n + 1)]]
+                         + [rt.off_diagonal() for rt in sup])
+    return _lines_text([f"supports n={n}: {len(sup)} rank tuples "
+                        f"(Motzkin number {motzkin_number(n)})"]
+                       + [tup(rt.off_diagonal()) for rt in sup])
+
+
+def cmd_supports(args) -> int:
+    sys.stdout.write(_supports_text(args.n, args.format))
     return 0
 
 
-def cmd_motzkin(args) -> int:
-    n = args.n
+@lru_cache(maxsize=None)
+def _motzkin_text(n: int, fmt: str) -> str:
     paths = motzkin_paths(n)
-    if args.format == "json":
-        _emit_json({"n": n, "count": len(paths),
-                    "paths": [list(x) for x in paths]})
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow([f"x_{k}" for k in range(1, n)])
-        for x in paths:
-            w.writerow(list(x))
-    else:
-        lines = [f"motzkin n={n}: {len(paths)} paths"]
-        lines += [tup(x) for x in paths]
-        sys.stdout.write("\n".join(lines) + "\n")
+    if fmt == "json":
+        return _json_text({"n": n, "count": len(paths),
+                           "paths": [list(x) for x in paths]})
+    if fmt == "csv":
+        return _csv_text([[f"x_{k}" for k in range(1, n)]] + paths)
+    return _lines_text([f"motzkin n={n}: {len(paths)} paths"]
+                       + [tup(x) for x in paths])
+
+
+def cmd_motzkin(args) -> int:
+    sys.stdout.write(_motzkin_text(args.n, args.format))
     return 0
 
 
@@ -194,8 +206,8 @@ def _expansion_rows(n: int) -> tuple:
     """Rows (y, segments, rank, coefficient, label) of ``expand n`` in
     descending y, once per n and process: the multisegment of y as sorted
     ((i, j), mult) items, its dual rank tuple, the canonical coefficient
-    and its ``quantum_label``.  Every value is immutable; the writers
-    render them per request."""
+    and its ``quantum_label``.  Every value is immutable; the four
+    renderings of ``_expand_text`` share them."""
     coeffs = canonical_coeffs(n)
     return tuple(
         (y, tuple(sorted(path_to_multisegment(n, y).mult.items())),
@@ -203,28 +215,27 @@ def _expansion_rows(n: int) -> tuple:
         for y in sorted(coeffs, reverse=True))
 
 
-def cmd_expand(args) -> int:
-    n = args.n
+@lru_cache(maxsize=None)
+def _expand_text(n: int, fmt: str, expanded: bool) -> str:
     rows = _expansion_rows(n)
-    if args.format == "json":
-        _emit_json({"n": n, "terms": [
+    if fmt == "json":
+        return _json_text({"n": n, "terms": [
             {"y": list(y), "multisegment": [[i, j, v] for (i, j), v in segs],
              "rank": _rank_json(rt), "coefficient": c.to_pairs()}
             for y, segs, rt, c, _ in rows]})
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["y", "multisegment", "rank", "coefficient"])
-        for y, segs, rt, c, _ in rows:
-            w.writerow([" ".join(map(str, y)), segments_str(segs),
-                        " ".join(map(str, rt.off_diagonal())),
-                        json.dumps(c.to_pairs())])
-    else:
-        lines = [f"expansion n={n}: {len(rows)} terms"]
-        lines += [f"y={tup(y)}  segments=[{segments_str(segs)}]  "
-                  f"rank={tup(rt.off_diagonal())}  "
-                  f"coeff={c if args.expanded else label}"
-                  for y, segs, rt, c, label in rows]
-        sys.stdout.write("\n".join(lines) + "\n")
+    if fmt == "csv":
+        return _csv_text([["y", "multisegment", "rank", "coefficient"]] + [
+            [" ".join(map(str, y)), segments_str(segs),
+             " ".join(map(str, rt.off_diagonal())), json.dumps(c.to_pairs())]
+            for y, segs, rt, c, _ in rows])
+    return _lines_text([f"expansion n={n}: {len(rows)} terms"] + [
+        f"y={tup(y)}  segments=[{segments_str(segs)}]  "
+        f"rank={tup(rt.off_diagonal())}  coeff={c if expanded else label}"
+        for y, segs, rt, c, label in rows])
+
+
+def cmd_expand(args) -> int:
+    sys.stdout.write(_expand_text(args.n, args.format, args.expanded))
     return 0
 
 
@@ -233,17 +244,16 @@ def cmd_verify(args) -> int:
     report = verify_supports(n)
     ok = all_checks_pass(report)
     if args.format == "json":
-        _emit_json({
+        text = _json_text({
             "n": report["n"],
             "motzkin_count": report["motzkin_count"],
             "supports": [_rank_json(rt) for rt in report["supports"]],
             "checks": report["checks"],
         })
     elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["name", "pass", "detail"])
-        for c in report["checks"]:
-            w.writerow([c["name"], str(c["pass"]).lower(), c["detail"]])
+        text = _csv_text([["name", "pass", "detail"]] + [
+            [c["name"], str(c["pass"]).lower(), c["detail"]]
+            for c in report["checks"]])
     else:
         lines = [f"verify n={n}: {len(report['supports'])} supports "
                  f"(Motzkin number {report['motzkin_count']})"]
@@ -253,7 +263,8 @@ def cmd_verify(args) -> int:
         passed = sum(1 for c in report["checks"] if c["pass"])
         lines.append(f"result: {'PASS' if ok else 'FAIL'} "
                      f"({passed}/{len(report['checks'])} checks)")
-        sys.stdout.write("\n".join(lines) + "\n")
+        text = _lines_text(lines)
+    sys.stdout.write(text)
     return 0 if ok else 1
 
 
@@ -271,19 +282,18 @@ def cmd_dual(args) -> int:
     near = dual_rank_tuple_near_simple(m) if m.is_near_simple() else None
     match = None if near is None else (near == general)
     if args.format == "json":
-        _emit_json({
+        sys.stdout.write(_json_text({
             "n": m.n,
             "multisegment": m.to_pairs(),
             "general": _rank_json(general),
             "near_simple": None if near is None else _rank_json(near),
             "match": match,
-        })
+        }))
     elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["formula", "ranks"])
-        w.writerow(["general", ranks_str(general)])
+        rows = [["formula", "ranks"], ["general", ranks_str(general)]]
         if near is not None:
-            w.writerow(["near-simple", ranks_str(near)])
+            rows.append(["near-simple", ranks_str(near)])
+        sys.stdout.write(_csv_text(rows))
     else:
         print(f"dual n={m.n}: {segments_str(sorted(m.mult.items()))}")
         print(f"general: {ranks_str(general)}")
@@ -299,21 +309,22 @@ def cmd_dual(args) -> int:
     return 0
 
 
-def cmd_asymptotics(args) -> int:
-    rows = asymptotics_report(args.max_n)
-    if args.format == "json":
-        _emit_json({"max_n": args.max_n, "rows": [
+#: max_n has no size cap, so this cache keeps only the most recent texts.
+@lru_cache(maxsize=128)
+def _asymptotics_text(max_n: int, fmt: str) -> str:
+    rows = asymptotics_report(max_n)
+    if fmt == "json":
+        return _json_text({"max_n": max_n, "rows": [
             {"n": n, "motzkin": str(m), "bell": str(b), "ratio": r}
             for n, m, b, r in rows]})
-    elif args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["n", "motzkin", "bell", "ratio"])
-        for n, m, b, r in rows:
-            w.writerow([n, m, b, r])
-    else:
-        print("n  motzkin  bell  ratio")
-        for n, m, b, r in rows:
-            print(f"{n}  {m}  {b}  {r}")
+    if fmt == "csv":
+        return _csv_text([["n", "motzkin", "bell", "ratio"]] + rows)
+    return _lines_text(["n  motzkin  bell  ratio"]
+                       + [f"{n}  {m}  {b}  {r}" for n, m, b, r in rows])
+
+
+def cmd_asymptotics(args) -> int:
+    sys.stdout.write(_asymptotics_text(args.max_n, args.format))
     return 0
 
 

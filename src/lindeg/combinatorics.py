@@ -419,6 +419,12 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     """
     if not is_motzkin_path(n, x):
         raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
+    return _motzkin_rank(n, x)
+
+
+def _motzkin_rank(n: int, x) -> RankTuple:
+    """``rank_from_motzkin`` without the path check, for paths the package
+    enumerated itself."""
     xe = padded(n, x)
     return _rank_tuple(n, tuple([v for i in range(n)
                                  for v in _rank_row(n, xe[i:])]))

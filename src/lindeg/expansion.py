@@ -119,28 +119,6 @@ def pbw_coeff(n: int, y) -> LaurentPoly:
     return coeff
 
 
-def pbw_coeff_degree(n: int, y) -> int:
-    """Closed form for the top exponent of pbw_coeff(n, y):
-    (1 - y_1) n + sum_k (n - k - y_k)(y_k - y_{k+1} + 1)."""
-    y = tuple(y)
-    if len(y) != n - 1:
-        raise ValueError(f"expected a tuple of length {n - 1}, got {y!r}")
-    ye = padded(n, y)
-    return (1 - ye[1]) * n + sum((n - k - ye[k]) * (ye[k] - ye[k + 1] + 1)
-                                 for k in range(1, n))
-
-
-def pbw_coeff_degree_gap(n: int, y, z) -> int:
-    """Closed form for pbw_coeff_degree(n, y) - pbw_coeff_degree(n, z):
-    sum_k (z_k - y_k)(z_k - z_{k+1} + y_k - y_{k-1} + 2)."""
-    y, z = tuple(y), tuple(z)
-    if len(y) != n - 1 or len(z) != n - 1:
-        raise ValueError("tuples must have length n - 1")
-    ye, ze = padded(n, y), padded(n, z)
-    return sum((ze[k] - ye[k]) * (ze[k] - ze[k + 1] + ye[k] - ye[k - 1] + 2)
-               for k in range(1, n))
-
-
 def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     """Coefficient of the PBW monomial y in the bar image of the PBW
     monomial x; zero unless x >= y componentwise.

@@ -27,6 +27,7 @@ from types import MappingProxyType
 from .combinatorics import (
     _bell_numbers,
     _motzkin_numbers,
+    _motzkin_rank,
     motzkin_number,
     motzkin_paths,
     pbw_locus_ranks,
@@ -53,8 +54,9 @@ def predicted_supports(n: int) -> list:
 @lru_cache(maxsize=None)
 def _predicted_supports(n: int) -> tuple:
     """The rank tuples of ``predicted_supports``: ``rank_from_motzkin`` of
-    every Motzkin path, sorted by ``values``."""
-    return tuple(sorted([rank_from_motzkin(n, x) for x in motzkin_paths(n)],
+    every Motzkin path, sorted by ``values``.  The paths come from
+    ``motzkin_paths``, so the unchecked form skips the path check."""
+    return tuple(sorted([_motzkin_rank(n, x) for x in motzkin_paths(n)],
                         key=attrgetter("values")))
 
 

@@ -10,6 +10,9 @@
   the rank-2 identity ``rank2_straighten``; at the rows of
   ``staircase_exponents`` it gives the closed form ``pbw_coeff`` of
   ``lindeg.expansion``.
+* ``pbw_coeff_degree`` and ``pbw_coeff_degree_gap``: closed forms for the
+  top exponent of ``pbw_coeff`` and for its difference between two
+  tuples, against the degrees of the coefficients themselves.
 * ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
   four-index maximum, against the one-sweep form in
   ``lindeg.combinatorics``; ``rank_entries_from_motzkin`` gives it as a
@@ -178,6 +181,28 @@ def staircase_exponents(n: int) -> tuple:
     """The two exponent rows (1, ..., n) and (n, ..., 1) of the staircase
     monomial."""
     return tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+
+
+def pbw_coeff_degree(n: int, y) -> int:
+    """Closed form for the top exponent of pbw_coeff(n, y):
+    (1 - y_1) n + sum_k (n - k - y_k)(y_k - y_{k+1} + 1)."""
+    y = tuple(y)
+    if len(y) != n - 1:
+        raise ValueError(f"expected a tuple of length {n - 1}, got {y!r}")
+    ye = padded(n, y)
+    return (1 - ye[1]) * n + sum((n - k - ye[k]) * (ye[k] - ye[k + 1] + 1)
+                                 for k in range(1, n))
+
+
+def pbw_coeff_degree_gap(n: int, y, z) -> int:
+    """Closed form for pbw_coeff_degree(n, y) - pbw_coeff_degree(n, z):
+    sum_k (z_k - y_k)(z_k - z_{k+1} + y_k - y_{k-1} + 2)."""
+    y, z = tuple(y), tuple(z)
+    if len(y) != n - 1 or len(z) != n - 1:
+        raise ValueError("tuples must have length n - 1")
+    ye, ze = padded(n, y), padded(n, z)
+    return sum((ze[k] - ye[k]) * (ze[k] - ze[k + 1] + ye[k] - ye[k - 1] + 2)
+               for k in range(1, n))
 
 
 def rank_from_motzkin(n: int, x) -> RankTuple:

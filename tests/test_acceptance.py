@@ -25,8 +25,6 @@ from lindeg.expansion import (
     canonical_coeffs,
     canonical_transition_matrix,
     pbw_coeff,
-    pbw_coeff_degree,
-    pbw_coeff_degree_gap,
 )
 from lindeg.laurent import ONE, ZERO, qbinom, qfact, qint
 from lindeg.supports import (
@@ -35,7 +33,7 @@ from lindeg.supports import (
     predicted_supports,
     verify_supports,
 )
-from oracles import kz_rank_simple
+from oracles import kz_rank_simple, pbw_coeff_degree, pbw_coeff_degree_gap
 
 import itertools
 

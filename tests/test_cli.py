@@ -284,25 +284,34 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_warm_supports_makes_no_rank_from_motzkin_call(capsys, monkeypatch):
-    from lindeg import supports
+    # nor a tup call: the warm text is not rendered again
+    from lindeg import cli, supports
 
-    calls = []
-    rank_from_motzkin = supports.rank_from_motzkin
+    ranks, lines = [], []
+    motzkin_rank, tup = supports._motzkin_rank, cli.tup
 
-    def counting(n, x):
-        calls.append(x)
-        return rank_from_motzkin(n, x)
+    def counting_rank(n, x):
+        ranks.append(x)
+        return motzkin_rank(n, x)
 
-    monkeypatch.setattr(supports, "rank_from_motzkin", counting)
+    def counting_tup(values):
+        lines.append(values)
+        return tup(values)
+
+    monkeypatch.setattr(supports, "_motzkin_rank", counting_rank)
+    monkeypatch.setattr(cli, "tup", counting_tup)
     supports._predicted_supports.cache_clear()
+    cli._supports_text.cache_clear()
     try:
         cold = run_cli(capsys, "supports", "8")
-        assert len(calls) == 323  # one per Motzkin path
-        calls.clear()
+        assert len(ranks) == len(lines) == 323  # one per Motzkin path
+        ranks.clear()
+        lines.clear()
         assert run_cli(capsys, "supports", "8") == cold
-        assert calls == []
+        assert ranks == lines == []
     finally:
         supports._predicted_supports.cache_clear()
+        cli._supports_text.cache_clear()
 
 
 def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
@@ -316,6 +325,7 @@ def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "quantum_label", counting)
     cli._expansion_rows.cache_clear()
+    cli._expand_text.cache_clear()
     try:
         cold = run_cli(capsys, "expand", "5")
         assert len(calls) == 36
@@ -324,6 +334,76 @@ def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
         assert calls == []
     finally:
         cli._expansion_rows.cache_clear()
+        cli._expand_text.cache_clear()
+
+
+#: Requests answered from a text rendered once per process.
+CACHED_REQUESTS = (
+    [["supports", str(k)] for k in range(1, 9)]
+    + [["motzkin", str(k)] for k in range(1, 9)]
+    + [["expand", str(k)] + flag for k in range(1, 6)
+       for flag in ([], ["--expanded"])]
+    + [["asymptotics", str(m)] for m in (1, 7, 60)])
+
+
+def clear_every_cache(monkeypatch):
+    """Drop every per-process result behind the cached reports."""
+    from lindeg import cli, combinatorics, expansion, supports
+
+    for cached in (cli._supports_text, cli._motzkin_text, cli._expand_text,
+                   cli._asymptotics_text, cli._expansion_rows,
+                   supports._predicted_supports, combinatorics._motzkin_paths,
+                   expansion.canonical_coeffs,
+                   expansion.canonical_transition_matrix,
+                   expansion.bar_transition_matrix):
+        cached.cache_clear()
+    monkeypatch.setattr(supports, "_asymptotics_rows", ())
+
+
+def test_warm_reports_equal_cold_reports(capsys, monkeypatch):
+    for fmt in ("text", "json", "csv"):
+        for argv in CACHED_REQUESTS:
+            argv = [*argv, "--format", fmt]
+            clear_every_cache(monkeypatch)
+            cold = run_cli(capsys, *argv)
+            assert cold[0] == 0 and cold[2] == "", argv
+            assert run_cli(capsys, *argv) == cold, argv
+
+
+def test_cached_reports_are_strings():
+    # immutable, so no caller can change a cached report
+    from lindeg import cli
+
+    for fmt in ("text", "json", "csv"):
+        calls = ([(cli._supports_text, (k, fmt)) for k in range(1, 9)]
+                 + [(cli._motzkin_text, (k, fmt)) for k in range(1, 9)]
+                 + [(cli._expand_text, (k, fmt, expanded))
+                    for k in range(1, 6) for expanded in (False, True)]
+                 + [(cli._asymptotics_text, (m, fmt)) for m in (1, 7, 60)])
+        for cached, args in calls:
+            text = cached(*args)
+            assert type(text) is str and cached(*args) is text, args
+
+
+def test_verify_and_dual_render_per_request(capsys, monkeypatch):
+    # a repeated verify runs its checks again; dual takes arbitrary input
+    from lindeg import cli
+
+    calls = []
+    verify, dual = cli.verify_supports, cli.dual_rank_tuple_general
+
+    def counting(fn):
+        def wrapped(arg):
+            calls.append(fn.__name__)
+            return fn(arg)
+        return wrapped
+
+    monkeypatch.setattr(cli, "verify_supports", counting(verify))
+    monkeypatch.setattr(cli, "dual_rank_tuple_general", counting(dual))
+    for argv in (["verify", "4"], ["dual", "1,1=2;1,2=1;2,2=2"]):
+        first = run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv) == first
+    assert calls == ["verify_supports"] * 2 + ["dual_rank_tuple_general"] * 2
 
 
 def test_cached_expansion_rows_hold_only_immutable_values():

@@ -11,6 +11,7 @@ import oracles
 from lindeg.combinatorics import (
     Multisegment,
     RankTuple,
+    _motzkin_rank,
     bell_number,
     has_single_peak,
     in_parameter_set,
@@ -201,9 +202,12 @@ def test_rank_from_motzkin_dominates_threshold_and_injective():
 
 
 def test_rank_sweep_matches_four_index_oracle():
+    # the unchecked form too, which the predicted supports use
     for n in range(1, 11):
         for x in motzkin_paths(n):
-            assert rank_from_motzkin(n, x) == oracles.rank_from_motzkin(n, x)
+            rt = rank_from_motzkin(n, x)
+            assert rt == oracles.rank_from_motzkin(n, x)
+            assert _motzkin_rank(n, x) == rt
 
 
 def test_rank_tuple_keys_unchanged_on_supports():

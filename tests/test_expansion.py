@@ -2,7 +2,13 @@
 
 import oracles
 import pytest
-from oracles import rank2_straighten, staircase_exponents, two_row_pbw_expansion
+from oracles import (
+    pbw_coeff_degree,
+    pbw_coeff_degree_gap,
+    rank2_straighten,
+    staircase_exponents,
+    two_row_pbw_expansion,
+)
 
 from lindeg import expansion
 from lindeg.combinatorics import leq, motzkin_paths, ptuples, upper_bounds
@@ -12,8 +18,6 @@ from lindeg.expansion import (
     canonical_coeffs,
     canonical_transition_matrix,
     pbw_coeff,
-    pbw_coeff_degree,
-    pbw_coeff_degree_gap,
     solve_products,
 )
 from lindeg.laurent import ONE, ZERO, LaurentPoly, qbinom, qfact, qint, v_power

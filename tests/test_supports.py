@@ -116,6 +116,26 @@ def test_predicted_equals_per_path_images():
                 == [list(rt.r.items()) for rt in images]), n
 
 
+def test_predicted_makes_no_path_check(monkeypatch):
+    # the paths come from motzkin_paths, so checking them again is waste
+    from lindeg import combinatorics
+
+    calls = []
+    check = combinatorics.is_motzkin_path
+
+    def counting(n, x):
+        calls.append(x)
+        return check(n, x)
+
+    monkeypatch.setattr(combinatorics, "is_motzkin_path", counting)
+    supports._predicted_supports.cache_clear()
+    try:
+        assert len(predicted_supports(8)) == 323
+    finally:
+        supports._predicted_supports.cache_clear()
+    assert calls == []
+
+
 def test_predicted_leaves_no_cyclic_garbage():
     # a memo held by a reference cycle lives until a full collection; the
     # cache is cleared first, so the sweep itself runs with gc disabled
