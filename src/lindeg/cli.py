@@ -7,11 +7,16 @@ Output is byte-identical across runs with identical arguments; the cost
 warning for a raised size cap goes to standard error so it never perturbs
 the report stream.
 
+Each subcommand's report returns (text, exit code) and raises ValueError
+on a usage error.  ``main`` is the one place that writes a report, with a
+single write to standard output, and the one place that maps an exception
+to its error line and exit code.
+
 ``supports``, ``motzkin``, ``expand`` and ``asymptotics`` print pure
 functions of their arguments, so each of their reports is rendered once
-per process into one immutable string and written with a single write.
-``verify`` renders per request, because a repeated verify must run its
-checks again, and so does ``dual``, whose input is arbitrary.
+per process into one immutable string.  ``verify`` renders per request,
+because a repeated verify must run its checks again, and so does
+``dual``, whose input is arbitrary.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import csv
 import io
 import json
 import sys
+from decimal import Decimal
 from functools import lru_cache
 
 from .combinatorics import (
@@ -179,11 +185,6 @@ def _supports_text(n: int, fmt: str) -> str:
                        + [tup(rt.off_diagonal()) for rt in sup])
 
 
-def cmd_supports(args) -> int:
-    sys.stdout.write(_supports_text(args.n, args.format))
-    return 0
-
-
 @lru_cache(maxsize=None)
 def _motzkin_text(n: int, fmt: str) -> str:
     paths = motzkin_paths(n)
@@ -196,50 +197,33 @@ def _motzkin_text(n: int, fmt: str) -> str:
                        + [tup(x) for x in paths])
 
 
-def cmd_motzkin(args) -> int:
-    sys.stdout.write(_motzkin_text(args.n, args.format))
-    return 0
-
-
-@lru_cache(maxsize=None)
-def _expansion_rows(n: int) -> tuple:
-    """Rows (y, segments, rank, coefficient, label) of ``expand n`` in
-    descending y, once per n and process: the multisegment of y as sorted
-    ((i, j), mult) items, its dual rank tuple, the canonical coefficient
-    and its ``quantum_label``.  Every value is immutable; the four
-    renderings of ``_expand_text`` share them."""
-    coeffs = canonical_coeffs(n)
-    return tuple(
-        (y, tuple(sorted(path_to_multisegment(n, y).mult.items())),
-         dual_rank_tuple(n, y), coeffs[y], quantum_label(coeffs[y]))
-        for y in sorted(coeffs, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _expand_text(n: int, fmt: str, expanded: bool) -> str:
-    rows = _expansion_rows(n)
+    """Rows (y, segments, rank, coefficient) in descending y: the
+    multisegment of y as sorted ((i, j), mult) items, its dual rank tuple
+    and the canonical coefficient."""
+    coeffs = canonical_coeffs(n)
+    rows = [(y, sorted(path_to_multisegment(n, y).mult.items()),
+             dual_rank_tuple(n, y), coeffs[y])
+            for y in sorted(coeffs, reverse=True)]
     if fmt == "json":
         return _json_text({"n": n, "terms": [
             {"y": list(y), "multisegment": [[i, j, v] for (i, j), v in segs],
              "rank": _rank_json(rt), "coefficient": c.to_pairs()}
-            for y, segs, rt, c, _ in rows]})
+            for y, segs, rt, c in rows]})
     if fmt == "csv":
         return _csv_text([["y", "multisegment", "rank", "coefficient"]] + [
             [" ".join(map(str, y)), segments_str(segs),
              " ".join(map(str, rt.off_diagonal())), json.dumps(c.to_pairs())]
-            for y, segs, rt, c, _ in rows])
+            for y, segs, rt, c in rows])
     return _lines_text([f"expansion n={n}: {len(rows)} terms"] + [
         f"y={tup(y)}  segments=[{segments_str(segs)}]  "
-        f"rank={tup(rt.off_diagonal())}  coeff={c if expanded else label}"
-        for y, segs, rt, c, label in rows])
+        f"rank={tup(rt.off_diagonal())}  "
+        f"coeff={c if expanded else quantum_label(c)}"
+        for y, segs, rt, c in rows])
 
 
-def cmd_expand(args) -> int:
-    sys.stdout.write(_expand_text(args.n, args.format, args.expanded))
-    return 0
-
-
-def cmd_verify(args) -> int:
+def _verify_report(args) -> tuple[str, int]:
     n = args.n
     report = verify_supports(n)
     ok = all_checks_pass(report)
@@ -264,68 +248,60 @@ def cmd_verify(args) -> int:
         lines.append(f"result: {'PASS' if ok else 'FAIL'} "
                      f"({passed}/{len(report['checks'])} checks)")
         text = _lines_text(lines)
-    sys.stdout.write(text)
-    return 0 if ok else 1
+    return text, 0 if ok else 1
 
 
-def cmd_dual(args) -> int:
-    try:
-        m = parse_multisegment(args.multisegment, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if m.n > args.cap:
-        print(f"error: n={m.n} exceeds the size cap {args.cap}; "
-              f"pass --max-n {m.n} to override", file=sys.stderr)
-        return 2
+def _dual_report(args) -> tuple[str, int]:
+    m = parse_multisegment(args.multisegment, args.n)
+    _check_cap(m.n, args.cap)
     general = dual_rank_tuple_general(m)
     near = dual_rank_tuple_near_simple(m) if m.is_near_simple() else None
     match = None if near is None else (near == general)
     if args.format == "json":
-        sys.stdout.write(_json_text({
+        text = _json_text({
             "n": m.n,
             "multisegment": m.to_pairs(),
             "general": _rank_json(general),
             "near_simple": None if near is None else _rank_json(near),
             "match": match,
-        }))
+        })
     elif args.format == "csv":
         rows = [["formula", "ranks"], ["general", ranks_str(general)]]
         if near is not None:
             rows.append(["near-simple", ranks_str(near)])
-        sys.stdout.write(_csv_text(rows))
+        text = _csv_text(rows)
     else:
-        print(f"dual n={m.n}: {segments_str(sorted(m.mult.items()))}")
-        print(f"general: {ranks_str(general)}")
+        lines = [f"dual n={m.n}: {segments_str(sorted(m.mult.items()))}",
+                 f"general: {ranks_str(general)}"]
         if near is None:
-            print("near-simple: n/a (a segment of length 3 or more is present)")
+            lines.append("near-simple: n/a (a segment of length 3 or more "
+                         "is present)")
         else:
-            print(f"near-simple: {ranks_str(near)}")
-            print(f"match: {'yes' if match else 'MISMATCH'}")
+            lines += [f"near-simple: {ranks_str(near)}",
+                      f"match: {'yes' if match else 'MISMATCH'}"]
+        text = _lines_text(lines)
     if match is False:
         print("internal error: the closed form disagrees with the "
               "general duality formula", file=sys.stderr)
-        return 1
-    return 0
+        return text, 1
+    return text, 0
 
 
 #: max_n has no size cap, so this cache keeps only the most recent texts.
 @lru_cache(maxsize=128)
 def _asymptotics_text(max_n: int, fmt: str) -> str:
-    rows = asymptotics_report(max_n)
+    # str(Decimal(k)) spells out every digit of the exact count, while
+    # str(k) refuses ints beyond the interpreter's int-to-str digit limit
+    rows = [(n, str(Decimal(m)), str(Decimal(b)), r)
+            for n, m, b, r in asymptotics_report(max_n)]
     if fmt == "json":
         return _json_text({"max_n": max_n, "rows": [
-            {"n": n, "motzkin": str(m), "bell": str(b), "ratio": r}
+            {"n": n, "motzkin": m, "bell": b, "ratio": r}
             for n, m, b, r in rows]})
     if fmt == "csv":
         return _csv_text([["n", "motzkin", "bell", "ratio"]] + rows)
     return _lines_text(["n  motzkin  bell  ratio"]
                        + [f"{n}  {m}  {b}  {r}" for n, m, b, r in rows])
-
-
-def cmd_asymptotics(args) -> int:
-    sys.stdout.write(_asymptotics_text(args.max_n, args.format))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +311,8 @@ def cmd_asymptotics(args) -> int:
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; each parse returns a
-    fresh namespace, so reusing it is safe."""
+    fresh namespace, so reusing it is safe.  Each subcommand's ``report``
+    maps the namespace to (text, exit code)."""
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=["text", "json", "csv"],
                            default="text", help="output format")
@@ -343,6 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sized.add_argument("--max-n", type=int, default=None, metavar="K",
                        help=f"raise the size cap above the default "
                             f"{DEFAULT_MAX_N} (expect long runtimes)")
+    sized.set_defaults(sized=True)
 
     parser = argparse.ArgumentParser(
         prog="lindeg",
@@ -354,19 +332,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("supports", parents=[sized],
                        help="support rank tuples for a given n")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_supports, sized=True)
+    p.set_defaults(report=lambda a: (_supports_text(a.n, a.format), 0))
 
     p = sub.add_parser("expand", parents=[sized],
                        help="canonical expansion of the staircase monomial")
     p.add_argument("n", type=int)
     p.add_argument("--expanded", action="store_true",
                    help="print coefficients as expanded Laurent polynomials")
-    p.set_defaults(func=cmd_expand, sized=True)
+    p.set_defaults(
+        report=lambda a: (_expand_text(a.n, a.format, a.expanded), 0))
 
     p = sub.add_parser("motzkin", parents=[sized],
                        help="enumerate Motzkin paths")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_motzkin, sized=True)
+    p.set_defaults(report=lambda a: (_motzkin_text(a.n, a.format), 0))
 
     p = sub.add_parser("dual", parents=[sized],
                        help="dual rank tuple of a multisegment "
@@ -374,30 +353,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("multisegment")
     p.add_argument("--n", type=int, default=None,
                    help="ambient n (default: largest right endpoint)")
-    p.set_defaults(func=cmd_dual, sized=True)
+    p.set_defaults(report=_dual_report)
 
     p = sub.add_parser("verify", parents=[sized],
                        help="cross-check the two support pipelines")
     p.add_argument("n", type=int)
-    p.set_defaults(func=cmd_verify, sized=True)
+    p.set_defaults(report=_verify_report)
 
     # no size cap: the table is closed-form counting, so no --max-n either
     p = sub.add_parser("asymptotics", parents=[formatted],
                        help="Motzkin vs Bell counting table")
     p.add_argument("max_n", type=int)
-    p.set_defaults(func=cmd_asymptotics, sized=False)
+    p.set_defaults(report=lambda a: (_asymptotics_text(a.max_n, a.format), 0))
 
     return parser
 
 
-def _size_error(args) -> str | None:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the size cap {cap}; "
+                         f"pass --max-n {n} to override")
+
+
+def _check_size(args) -> None:
     """Check n against the size cap of a sized subcommand, warn on stderr
-    when --max-n raises the cap, and store the cap in args.cap; the
-    message of a usage error, else None."""
+    when --max-n raises the cap, and store the cap in args.cap; raise
+    ValueError on a usage error."""
     cap = DEFAULT_MAX_N
     if args.max_n is not None:
         if args.max_n < 1:
-            return "--max-n must be at least 1"
+            raise ValueError("--max-n must be at least 1")
         if args.max_n > DEFAULT_MAX_N:
             cost = ""
             if args.command in ("expand", "verify") and args.n >= 1:
@@ -410,29 +395,28 @@ def _size_error(args) -> str | None:
     n = args.n
     if args.command == "dual":
         if n is not None and n < 1:
-            return "--n must be at least 1"
+            raise ValueError("--n must be at least 1")
     elif n < 1:
-        return "n must be at least 1"
-    elif n > cap:
-        return f"n={n} exceeds the size cap {cap}; pass --max-n {n} to override"
-    return None
+        raise ValueError("n must be at least 1")
+    else:
+        _check_cap(n, cap)
 
 
 def main(argv=None) -> int:
+    """Parse argv, run its subcommand's report and write the report with
+    one write; the exit code of a usage error is 2, of an internal error 1."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "func", None) is None:
+    if getattr(args, "report", None) is None:
         parser.print_usage(sys.stderr)
         return 2
-    error = _size_error(args) if args.sized else None
-    if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     try:
-        return args.func(args)
+        if getattr(args, "sized", False):
+            _check_size(args)
+        text, code = args.report(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -440,6 +424,8 @@ def main(argv=None) -> int:
         # a broken invariant inside the expansion engine, not a usage error
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(text)
+    return code
 
 
 def run() -> None:

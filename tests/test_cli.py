@@ -152,12 +152,7 @@ def test_dual_json(capsys):
 
 
 def test_dual_mismatch_is_internal_error(capsys, monkeypatch):
-    from lindeg import cli
-
-    def wrong(m):
-        return Multisegment(m.n, {(1, m.n): 1}).rank_tuple()
-
-    monkeypatch.setattr(cli, "dual_rank_tuple_near_simple", wrong)
+    wrong_near_simple(monkeypatch)
     code, out, err = run_cli(capsys, "dual", "1,1=2;1,2=1;2,2=2")
     assert code == 1
     assert out.endswith("match: MISMATCH\n")
@@ -197,6 +192,26 @@ def test_asymptotics_csv(capsys):
     assert rows[30][2] == "846749014511809332450147"
 
 
+def test_asymptotics_beyond_the_int_to_str_digit_limit(capsys):
+    # B_398 has 641 digits; each format renders the same bytes at a lowered
+    # limit as at the default one
+    from lindeg import cli
+
+    default = [run_cli(capsys, "asymptotics", "400", "--format", fmt)
+               for fmt in ("text", "json", "csv")]
+    assert all(code == 0 and err == "" for code, _, err in default)
+    limit = sys.get_int_max_str_digits()
+    cli._asymptotics_text.cache_clear()
+    try:
+        sys.set_int_max_str_digits(640)
+        lowered = [run_cli(capsys, "asymptotics", "400", "--format", fmt)
+                   for fmt in ("text", "json", "csv")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+        cli._asymptotics_text.cache_clear()
+    assert lowered == default
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "nonsense", "3")[0] == 2
     assert run_cli(capsys)[0] == 2
@@ -209,6 +224,121 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "motzkin", "5", "--max-n", "0")
     assert code == 2
+
+
+USAGE = ("usage: lindeg [-h] {supports,expand,motzkin,dual,verify,asymptotics}"
+         " ...\n")
+SUBCOMMANDS = ("supports", "expand", "motzkin", "dual", "verify", "asymptotics")
+CAP_WARNING = ("warning: size cap raised to 9; expansion cost grows rapidly "
+               "with n")
+
+
+def wrong_near_simple(monkeypatch):
+    from lindeg import cli
+
+    def wrong(m):
+        return Multisegment(m.n, {(1, m.n): 1}).rank_tuple()
+
+    monkeypatch.setattr(cli, "dual_rank_tuple_near_simple", wrong)
+
+
+def broken_solver(monkeypatch):
+    from lindeg import supports
+
+    def broken(n):
+        raise ArithmeticError(f"bar-antisymmetry failed at n={n}")
+
+    monkeypatch.setattr(supports, "canonical_coeffs", broken)
+
+
+#: (argv, patch, exit code, stdout, stderr) of every error and warning path
+ERROR_PATHS = [
+    ([], None, 2, "", USAGE),
+    (["expand", "--bogus", "2"], None, 2, "",
+     USAGE + "lindeg: error: unrecognized arguments: --bogus\n"),
+    (["supports", "x"], None, 2, "",
+     "usage: lindeg supports [-h] [--format {text,json,csv}] [--max-n K] n\n"
+     "lindeg supports: error: argument n: invalid int value: 'x'\n"),
+    (["expand", "0"], None, 2, "", "error: n must be at least 1\n"),
+    (["verify", "9"], None, 2, "",
+     "error: n=9 exceeds the size cap 8; pass --max-n 9 to override\n"),
+    (["motzkin", "5", "--max-n", "0"], None, 2, "",
+     "error: --max-n must be at least 1\n"),
+    (["dual", "1,1=1", "--n", "0"], None, 2, "",
+     "error: --n must be at least 1\n"),
+    (["dual", "1;2"], None, 2, "",
+     "error: cannot parse multisegment entry '1'; expected i,j=mult\n"),
+    (["dual", ""], None, 2, "",
+     "error: empty multisegment needs an explicit --n\n"),
+    (["dual", "1,9=1"], None, 2, "",
+     "error: n=9 exceeds the size cap 8; pass --max-n 9 to override\n"),
+    (["dual", "1,1=1", "--max-n", "0"], None, 2, "",
+     "error: --max-n must be at least 1\n"),
+    (["asymptotics", "0"], None, 2, "", "error: max_n must be at least 1\n"),
+    (["motzkin", "2", "--max-n", "9"], None, 0,
+     "motzkin n=2: 2 paths\n(0)\n(1)\n", CAP_WARNING + "\n"),
+    (["expand", "2", "--max-n", "9"], None, 0,
+     "expansion n=2: 2 terms\n"
+     "y=(1)  segments=[1,1=2;1,2=1;2,2=2]  rank=(2)  coeff=1\n"
+     "y=(0)  segments=[1,1=3;2,2=3]  rank=(3)  coeff=[3]!\n",
+     CAP_WARNING + ": the Z solve at n=2 takes at most 0 Laurent products\n"),
+    (["verify", "0", "--max-n", "9"], None, 2, "",
+     CAP_WARNING + "\nerror: n must be at least 1\n"),
+    (["dual", "1,1=1", "--max-n", "9"], None, 0,
+     "dual n=1: 1,1=1\ngeneral: 1,1=1\nnear-simple: 1,1=1\nmatch: yes\n",
+     CAP_WARNING + "\n"),
+    (["dual", "1,1=2;1,2=1;2,2=2"], wrong_near_simple, 1,
+     "dual n=2: 1,1=2;1,2=1;2,2=2\n"
+     "general: 1,1=3;1,2=2;2,2=3\n"
+     "near-simple: 1,1=1;1,2=1;2,2=1\n"
+     "match: MISMATCH\n",
+     "internal error: the closed form disagrees with the general duality "
+     "formula\n"),
+    (["verify", "3"], broken_solver, 1, "",
+     "internal error: bar-antisymmetry failed at n=3\n"),
+]
+
+
+@pytest.mark.parametrize("argv,patch,code,out,err", ERROR_PATHS,
+                         ids=[" ".join(case[0]) or "<none>"
+                              for case in ERROR_PATHS])
+def test_error_paths_exactly(capsys, monkeypatch, argv, patch, code, out,
+                             err):
+    if patch is not None:
+        patch(monkeypatch)
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def test_unknown_subcommand_exactly(capsys):
+    # argparse quotes the choices up to 3.11 and not in later releases
+    message = (USAGE + "lindeg: error: argument command: invalid choice: "
+               "'nonsense' (choose from ")
+    assert run_cli(capsys, "nonsense", "3") in {
+        (2, "", message + ", ".join(map(repr, SUBCOMMANDS)) + ")\n"),
+        (2, "", message + ", ".join(SUBCOMMANDS) + ")\n")}
+
+
+class CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_one_stdout_write_per_request(monkeypatch, fmt):
+    for argv in (["supports", "3"], ["motzkin", "3"], ["expand", "2"],
+                 ["expand", "2", "--expanded"], ["verify", "4"],
+                 ["dual", "1,1=2;1,2=1;2,2=2"], ["dual", "1,3=1;2,2=1"],
+                 ["asymptotics", "4"]):
+        for _ in range(2):  # cold or warm
+            writer = CountingWriter()
+            monkeypatch.setattr(sys, "stdout", writer)
+            assert main([*argv, "--format", fmt]) == 0
+            assert writer.writes == 1 and writer.getvalue(), argv
 
 
 def test_max_n_override_warns(capsys):
@@ -324,7 +454,6 @@ def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
         return quantum_label(p)
 
     monkeypatch.setattr(cli, "quantum_label", counting)
-    cli._expansion_rows.cache_clear()
     cli._expand_text.cache_clear()
     try:
         cold = run_cli(capsys, "expand", "5")
@@ -333,7 +462,6 @@ def test_warm_expand_makes_no_quantum_label_call(capsys, monkeypatch):
         assert run_cli(capsys, "expand", "5") == cold
         assert calls == []
     finally:
-        cli._expansion_rows.cache_clear()
         cli._expand_text.cache_clear()
 
 
@@ -351,8 +479,8 @@ def clear_every_cache(monkeypatch):
     from lindeg import cli, combinatorics, expansion, supports
 
     for cached in (cli._supports_text, cli._motzkin_text, cli._expand_text,
-                   cli._asymptotics_text, cli._expansion_rows,
-                   supports._predicted_supports, combinatorics._motzkin_paths,
+                   cli._asymptotics_text, supports._predicted_supports,
+                   combinatorics._motzkin_paths,
                    expansion.canonical_coeffs,
                    expansion.canonical_transition_matrix,
                    expansion.bar_transition_matrix):
@@ -406,22 +534,6 @@ def test_verify_and_dual_render_per_request(capsys, monkeypatch):
     assert calls == ["verify_supports"] * 2 + ["dual_rank_tuple_general"] * 2
 
 
-def test_cached_expansion_rows_hold_only_immutable_values():
-    from lindeg import cli
-    from lindeg.combinatorics import RankTuple
-
-    def check(value):
-        assert type(value) in (tuple, int, str, RankTuple, LaurentPoly), value
-        if type(value) is tuple:
-            for item in value:
-                check(item)
-
-    for n in range(1, 6):
-        rows = cli._expansion_rows(n)
-        assert len(rows) == len(canonical_coeffs(n))
-        check(rows)
-
-
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "lindeg", "motzkin", "2"],
@@ -471,12 +583,7 @@ def test_quantum_labels_of_canonical_coefficients():
 
 
 def test_solver_arithmetic_error_is_internal_error(capsys, monkeypatch):
-    from lindeg import supports
-
-    def broken(n):
-        raise ArithmeticError(f"bar-antisymmetry failed at n={n}")
-
-    monkeypatch.setattr(supports, "canonical_coeffs", broken)
+    broken_solver(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "3")
     assert code == 1
     assert out == ""
