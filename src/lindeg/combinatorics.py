@@ -100,13 +100,13 @@ def leq(a, b) -> bool:
 
 
 def _motzkin_numbers():
-    """M_0, M_1, M_2, ... without end, by the recurrence
-    M_{k+1} = M_k + sum_{i<k} M_i M_{k-1-i}."""
-    m = [1]
+    """M_0, M_1, M_2, ... without end, by the three-term recurrence
+    (k + 3) M_{k+1} = (2k + 3) M_k + 3k M_{k-1}, whose division is exact."""
+    prev, m, k = 0, 1, 0
     while True:
-        yield m[-1]
-        k = len(m) - 1
-        m.append(m[k] + sum(m[i] * m[k - 1 - i] for i in range(k)))
+        yield m
+        prev, m = m, ((2 * k + 3) * m + 3 * k * prev) // (k + 3)
+        k += 1
 
 
 def _bell_numbers():

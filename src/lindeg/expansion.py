@@ -24,11 +24,11 @@ words, because closed forms exist for every structure constant needed:
 All coefficients are exact Laurent polynomials; every step is deterministic
 (keys are processed by descending coordinate sum, ties lexicographic).  The
 stages run on a packed-integer kernel (see the notes below) and hand each
-other packed tables.  ``bar_transition_matrix`` and
-``canonical_transition_matrix`` return read-only views over them that
-decode an entry on its first read.  The Z solve takes the table of W and
-mu takes the table of Z, so a later read of W walks it again and a later
-read of Z solves it again.
+other packed tables.  Each call of ``bar_transition_matrix`` or
+``canonical_transition_matrix`` computes its stage anew and returns a
+read-only view that owns the table and decodes an entry on its first read.
+The Z solve takes the table of a W view of its own and mu takes the table
+of a Z view of its own, so no table outlives the stage that reads it.
 
 Reversal symmetry.  Write rev x for the reversed tuple.  Then
 W(x, y) = W(rev x, rev y), Z(x, y) = Z(rev x, rev y) and mu(y) = mu(rev y),
@@ -350,26 +350,21 @@ class _PackedView(Mapping):
         self._table, self._width = _widening(build, width)
         self._decoded = {}  # by id of the packed entry
 
-    def _packed(self) -> dict:
-        if self._table is None:
-            self._table = self._build(self._width)
-        return self._table
-
     def _take(self, width: int) -> dict:
         """The table at width for the stage that reads it: the view's own
-        one at its width, else built anew.  Either way the view drops its
-        table; a later read builds it again at the view's width."""
+        one at its width, else built anew by build(width).  Either way the
+        view drops its table, so that the table does not outlive the stage
+        it feeds; the view is not read again."""
         table = self._table if width == self._width else None
         self._table, self._decoded = None, {}
         return self._build(width) if table is None else table
 
     def __getitem__(self, key) -> LaurentPoly:
-        table = self._packed()
         try:
             x, y = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        packed = table[y][x]
+        packed = self._table[y][x]
         entry = self._decoded.get(id(packed))
         if entry is None:
             value, lo, hi, _ = packed
@@ -378,14 +373,14 @@ class _PackedView(Mapping):
         return entry
 
     def __iter__(self):
-        table = self._packed()
+        table = self._table
         for x in ptuples(self._n):
             for y in self._targets(x):
                 if x in table[y]:
                     yield x, y
 
     def __len__(self) -> int:
-        return sum(map(len, self._packed().values()))
+        return sum(map(len, self._table.values()))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
@@ -453,17 +448,11 @@ def _bar_table(n: int, width: int) -> dict:
     return table
 
 
-def _bar_matrix(n: int) -> _PackedView:
-    return _PackedView("W", n, _below, partial(_bar_table, n), _START_WIDTH)
-
-
-@lru_cache(maxsize=None)
 def bar_transition_matrix(n: int) -> Mapping:
     """All bar-transition coefficients {(x, y): coeff} for pairs y <= x in
-    the parameter set; entry by entry equal to bar_transition_coeff.  The
-    cached mapping is a read-only view; the Z solve takes its table, and a
-    later read builds it again."""
-    return _bar_matrix(n)
+    the parameter set; entry by entry equal to bar_transition_coeff.  Each
+    call builds W anew and returns a read-only view that owns its table."""
+    return _PackedView("W", n, _below, partial(_bar_table, n), _START_WIDTH)
 
 
 @lru_cache(maxsize=None)
@@ -578,7 +567,6 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
                        w._width)
 
 
-@lru_cache(maxsize=None)
 def canonical_transition_matrix(n: int) -> Mapping:
     """Canonical-to-PBW transition coefficients {(x, y): coeff}, y <= x.
 
@@ -590,8 +578,8 @@ def canonical_transition_matrix(n: int) -> Mapping:
     side with a constant term, or one that is not bar-antisymmetric, means
     the bar-transition closed form is broken, and raises ArithmeticError.
     W is read through the name bar_transition_matrix.  Absent keys are
-    zero.  The cached mapping is a read-only view; mu takes its table, and
-    a later read solves Z again.
+    zero.  Each call solves Z anew from a W of its own, whose table it
+    takes, and returns a read-only view that owns its table.
     """
     return _canonical_matrix(n, bar_transition_matrix(n))
 

@@ -44,20 +44,12 @@ def predicted_supports(n: int) -> list:
     """Support set predicted from Motzkin combinatorics: the rank tuples
     of the Motzkin paths, canonically sorted by ``values``.
 
-    The rank tuples are computed once per n and process
-    (``_predicted_supports``); every call returns a fresh list of them, so
-    a caller may change the list.  The tuples themselves are immutable.
+    The rank tuples are ``rank_from_motzkin`` of every path of
+    ``motzkin_paths``, so the unchecked form skips the path check.  Every
+    call computes a fresh list.
     """
-    return list(_predicted_supports(n))
-
-
-@lru_cache(maxsize=None)
-def _predicted_supports(n: int) -> tuple:
-    """The rank tuples of ``predicted_supports``: ``rank_from_motzkin`` of
-    every Motzkin path, sorted by ``values``.  The paths come from
-    ``motzkin_paths``, so the unchecked form skips the path check."""
-    return tuple(sorted([_motzkin_rank(n, x) for x in motzkin_paths(n)],
-                        key=attrgetter("values")))
+    return sorted([_motzkin_rank(n, x) for x in motzkin_paths(n)],
+                  key=attrgetter("values"))
 
 
 @lru_cache(maxsize=None)
@@ -190,29 +182,15 @@ def ratio_string(num: int, den: int, digits: int = 20) -> str:
     return s
 
 
-#: The rows of ``asymptotics_report`` for n = 1..len, grown on demand.  It
-#: is rebound, never changed in place, so a caller racing another can at
-#: worst put back a shorter, still correct prefix.
-_asymptotics_rows = ()
-
-
 def asymptotics_report(max_n: int) -> list:
     """Rows (n, motzkin_number, bell_number, ratio) for n = 1..max_n.
 
     The counts are exact big integers; the ratio column renders the exact
     quotient at 20 significant digits.  The ratio is strictly decreasing
-    from n = 4 on and vanishes exponentially fast.  Each row is computed
-    once per process, when a larger max_n than before first asks for it;
-    every call returns a fresh list.
+    from n = 4 on and vanishes exponentially fast.
     """
-    global _asymptotics_rows
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    rows = _asymptotics_rows
-    if len(rows) < max_n:
-        counts = islice(zip(_motzkin_numbers(), _bell_numbers()),
-                        len(rows) + 1, max_n + 1)
-        rows = _asymptotics_rows = rows + tuple(
-            (n, m, b, ratio_string(m, b))
-            for n, (m, b) in enumerate(counts, start=len(rows) + 1))
-    return list(rows[:max_n])
+    counts = islice(zip(_motzkin_numbers(), _bell_numbers()), 1, max_n + 1)
+    return [(n, m, b, ratio_string(m, b))
+            for n, (m, b) in enumerate(counts, start=1)]

@@ -13,6 +13,8 @@
 * ``pbw_coeff_degree`` and ``pbw_coeff_degree_gap``: closed forms for the
   top exponent of ``pbw_coeff`` and for its difference between two
   tuples, against the degrees of the coefficients themselves.
+* ``motzkin_numbers``: M_0, M_1, ... by the convolution recurrence,
+  against the three-term recurrence in ``lindeg.combinatorics``.
 * ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
   four-index maximum, against the one-sweep form in
   ``lindeg.combinatorics``; ``rank_entries_from_motzkin`` gives it as a
@@ -203,6 +205,16 @@ def pbw_coeff_degree_gap(n: int, y, z) -> int:
     ye, ze = padded(n, y), padded(n, z)
     return sum((ze[k] - ye[k]) * (ze[k] - ze[k + 1] + ye[k] - ye[k - 1] + 2)
                for k in range(1, n))
+
+
+def motzkin_numbers(count: int) -> list:
+    """M_0, ..., M_{count - 1} by the convolution recurrence
+    M_{k+1} = M_k + sum_{i<k} M_i M_{k-1-i}, O(k) products per term."""
+    m = [1]
+    while len(m) < count:
+        k = len(m) - 1
+        m.append(m[k] + sum(m[i] * m[k - 1 - i] for i in range(k)))
+    return m[:count]
 
 
 def rank_from_motzkin(n: int, x) -> RankTuple:

@@ -40,8 +40,6 @@ import itertools
 
 def _cold_caches():
     canonical_coeffs.cache_clear()
-    canonical_transition_matrix.cache_clear()
-    bar_transition_matrix.cache_clear()
 
 
 def _report(num, desc, ok, detail):

@@ -430,7 +430,6 @@ def test_warm_supports_makes_no_rank_from_motzkin_call(capsys, monkeypatch):
 
     monkeypatch.setattr(supports, "_motzkin_rank", counting_rank)
     monkeypatch.setattr(cli, "tup", counting_tup)
-    supports._predicted_supports.cache_clear()
     cli._supports_text.cache_clear()
     try:
         cold = run_cli(capsys, "supports", "8")
@@ -440,7 +439,6 @@ def test_warm_supports_makes_no_rank_from_motzkin_call(capsys, monkeypatch):
         assert run_cli(capsys, "supports", "8") == cold
         assert ranks == lines == []
     finally:
-        supports._predicted_supports.cache_clear()
         cli._supports_text.cache_clear()
 
 
@@ -474,25 +472,21 @@ CACHED_REQUESTS = (
     + [["asymptotics", str(m)] for m in (1, 7, 60)])
 
 
-def clear_every_cache(monkeypatch):
+def clear_every_cache():
     """Drop every per-process result behind the cached reports."""
-    from lindeg import cli, combinatorics, expansion, supports
+    from lindeg import cli, combinatorics, expansion
 
     for cached in (cli._supports_text, cli._motzkin_text, cli._expand_text,
-                   cli._asymptotics_text, supports._predicted_supports,
-                   combinatorics._motzkin_paths,
-                   expansion.canonical_coeffs,
-                   expansion.canonical_transition_matrix,
-                   expansion.bar_transition_matrix):
+                   cli._asymptotics_text, combinatorics._motzkin_paths,
+                   expansion.canonical_coeffs):
         cached.cache_clear()
-    monkeypatch.setattr(supports, "_asymptotics_rows", ())
 
 
-def test_warm_reports_equal_cold_reports(capsys, monkeypatch):
+def test_warm_reports_equal_cold_reports(capsys):
     for fmt in ("text", "json", "csv"):
         for argv in CACHED_REQUESTS:
             argv = [*argv, "--format", fmt]
-            clear_every_cache(monkeypatch)
+            clear_every_cache()
             cold = run_cli(capsys, *argv)
             assert cold[0] == 0 and cold[2] == "", argv
             assert run_cli(capsys, *argv) == cold, argv

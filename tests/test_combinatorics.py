@@ -11,6 +11,7 @@ import oracles
 from lindeg.combinatorics import (
     Multisegment,
     RankTuple,
+    _motzkin_numbers,
     _motzkin_rank,
     bell_number,
     has_single_peak,
@@ -59,6 +60,12 @@ def test_motzkin_lexicographic_and_counts():
 def test_motzkin_numbers():
     assert [motzkin_number(n) for n in (0, 2, 3, 4)] == [1, 2, 4, 9]
     assert motzkin_number(10) == 2188
+
+
+def test_motzkin_numbers_match_the_convolution():
+    # the three-term recurrence against the convolution, M_0 .. M_400
+    fast = list(itertools.islice(_motzkin_numbers(), 401))
+    assert fast == oracles.motzkin_numbers(401)
 
 
 def test_bell_numbers():

@@ -1,5 +1,7 @@
 """PBW expansion, bar transition, triangular solve, canonical coefficients."""
 
+import weakref
+
 import oracles
 import pytest
 from oracles import (
@@ -134,31 +136,23 @@ W_LABEL = ("W", 2, ((1,), (0,)))
 
 
 def test_solver_rejects_broken_bar_matrix(monkeypatch):
-    from lindeg import expansion
-
     def corrupted(n):
-        w = expansion._bar_matrix(n)
+        w = bar_transition_matrix(n)
         entry = ONE + v_power(2)  # not bar-antisymmetrizable
-        w._packed()[(0,)][(1,)] = expansion._pack(entry._terms, w._width,
-                                                  W_LABEL)
+        w._table[(0,)][(1,)] = expansion._pack(entry._terms, w._width,
+                                               W_LABEL)
         return w
 
-    canonical_transition_matrix.cache_clear()
     monkeypatch.setattr(expansion, "bar_transition_matrix", corrupted)
-    try:
-        with pytest.raises(ArithmeticError):
-            expansion.canonical_transition_matrix(2)
-    finally:
-        monkeypatch.undo()
-        canonical_transition_matrix.cache_clear()
+    with pytest.raises(ArithmeticError):
+        expansion.canonical_transition_matrix(2)
 
 
 @pytest.mark.parametrize("broken", [v_power(-3), VINV_MINUS_V + v_power(3)])
 def test_solver_rejects_rhs_beyond_its_mirror(broken):
     # antisymmetric where the rhs overlaps its mirror image, nonzero beyond
-    w = expansion._bar_matrix(2)
-    w._packed()[(0,)][(1,)] = expansion._pack(broken._terms, w._width,
-                                              W_LABEL)
+    w = bar_transition_matrix(2)
+    w._table[(0,)][(1,)] = expansion._pack(broken._terms, w._width, W_LABEL)
     with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
         expansion._canonical_matrix(2, w)
 
@@ -398,7 +392,7 @@ def test_z_solve_decodes_once_per_box_solved_key(monkeypatch):
     # sums, one per reversal-canonical one-run key, and none of its
     # multi-run products
     n = 6
-    w = expansion._bar_matrix(n)
+    w = bar_transition_matrix(n)
     labels = []
     decode = expansion._decode
 
@@ -417,8 +411,8 @@ def test_z_entries_are_packed_tight():
     # their norm, and their ends as tight: this holds because every entry
     # is tight, its norm the sum of the absolute values of its slots
     for n in range(1, 7):
-        z = expansion._canonical_matrix(n, expansion._bar_matrix(n))
-        for column in z._packed().values():
+        z = canonical_transition_matrix(n)
+        for column in z._table.values():
             for value, lo, hi, norm in column.values():
                 slots = expansion._decode(value, lo, hi, z._width, LABEL)
                 assert norm == sum(map(abs, slots)), (n, value, lo)
@@ -442,23 +436,30 @@ def test_packed_stages_match_oracles(n):
 
 
 def test_verify_path_decodes_nothing(monkeypatch):
-    # cold caches: W is built once, its packed table goes to the Z solve
-    # and Z's to mu as they are, each view drops the table it hands on,
-    # and no entry is decoded
+    # cold: W is built once, its packed table goes to the Z solve and Z's
+    # to mu as they are, no entry is read through a view, and neither
+    # view outlives the verify that made it
     from lindeg.supports import all_checks_pass, verify_supports
     builds = counting_bar_tables(monkeypatch)
-    for cached in (canonical_coeffs, canonical_transition_matrix,
-                   bar_transition_matrix):
-        cached.cache_clear()
+    views, reads = [], []
+    view = expansion._PackedView
+    init, getitem = view.__init__, view.__getitem__
+
+    def tracking(self, *args):
+        init(self, *args)
+        views.append((self._stage, weakref.ref(self)))
+
+    def reading(self, key):
+        reads.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(view, "__init__", tracking)
+    monkeypatch.setattr(view, "__getitem__", reading)
+    canonical_coeffs.cache_clear()
     assert all_checks_pass(verify_supports(6))
-    w, z = bar_transition_matrix(6), canonical_transition_matrix(6)
-    assert builds == [(6, 32)]
-    assert w._table is None and z._table is None
-    assert w._decoded == {} and z._decoded == {}
-    # a later read builds W and solves Z again, from W's table as it is;
-    # counting decodes nothing
-    assert len(w) == len(z) == 3240 and builds == [(6, 32)] * 2
-    assert w._decoded == {} and z._decoded == {}
+    assert builds == [(6, 32)] and reads == []
+    assert [stage for stage, _ in views] == ["W", "Z"]
+    assert [stage for stage, ref in views if ref() is not None] == []
 
 
 def counting_bar_tables(monkeypatch):
@@ -525,7 +526,7 @@ def test_stages_widen_midway_from_packed_inputs(monkeypatch):
 
     monkeypatch.setattr(expansion, "_check_bound", refusing)
     builds = counting_bar_tables(monkeypatch)
-    w = expansion._bar_matrix(n)
+    w = bar_transition_matrix(n)
     z = expansion._canonical_matrix(n, w)
     assert (w._width, z._width) == (32, 64)
     want = oracles.canonical_transition_matrix(n)
@@ -548,9 +549,9 @@ def test_packed_stages_at_other_widths(monkeypatch, width):
     monkeypatch.setattr(expansion, "_START_WIDTH", width)
     w = oracles.bar_transition_matrix(5)
     z = oracles.canonical_transition_matrix(5)
-    packed_w = expansion._bar_matrix(5)
-    packed_z = expansion._canonical_matrix(5, packed_w)
+    packed_w = bar_transition_matrix(5)
     assert packed_w == w and one_object_per_value(packed_w)
+    packed_z = canonical_transition_matrix(5)
     assert packed_z == z and one_object_per_value(packed_z)
     mu = expansion._canonical_coeffs(5, packed_z)
     assert mu == oracles.canonical_coeffs(5)
@@ -629,7 +630,7 @@ def test_first_w_entry_widens_n7(monkeypatch):
         check_bound(bound, width, label)
 
     monkeypatch.setattr(expansion, "_check_bound", counting)
-    w = expansion._bar_matrix(n)
+    w = bar_transition_matrix(n)
     z = expansion._canonical_matrix(n, w)
     expansion._canonical_coeffs(n, z)
     refused = ("W", 32, (upper_bounds(n), (0,) * (n - 1)))

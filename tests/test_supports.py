@@ -128,18 +128,13 @@ def test_predicted_makes_no_path_check(monkeypatch):
         return check(n, x)
 
     monkeypatch.setattr(combinatorics, "is_motzkin_path", counting)
-    supports._predicted_supports.cache_clear()
-    try:
-        assert len(predicted_supports(8)) == 323
-    finally:
-        supports._predicted_supports.cache_clear()
+    assert len(predicted_supports(8)) == 323
     assert calls == []
 
 
 def test_predicted_leaves_no_cyclic_garbage():
-    # a memo held by a reference cycle lives until a full collection; the
-    # cache is cleared first, so the sweep itself runs with gc disabled
-    supports._predicted_supports.cache_clear()
+    # a memo held by a reference cycle lives until a full collection, so
+    # the sweep itself runs with gc disabled
     gc.collect()
     gc.disable()
     try:
@@ -150,7 +145,7 @@ def test_predicted_leaves_no_cyclic_garbage():
 
 
 def test_reports_are_fresh_lists_each_call():
-    # a caller's change to a returned list never reaches the cache
+    # a caller's change to a returned list never reaches a later call
     for report in (predicted_supports, asymptotics_report):
         expected = list(report(5))
         report(5).append("junk")
@@ -158,17 +153,6 @@ def test_reports_are_fresh_lists_each_call():
         assert report(5) == expected, report
     asymptotics_report(3).append("junk")
     assert asymptotics_report(4) == asymptotics_report(5)[:4]
-
-
-def test_asymptotics_cache_grows_only_as_asked(monkeypatch):
-    # from an empty cache: compute, take a prefix, grow, take a prefix
-    monkeypatch.setattr(supports, "_asymptotics_rows", ())
-    for max_n in (60, 5, 61, 1):
-        assert asymptotics_report(max_n) == [
-            (k, motzkin_number(k), bell_number(k),
-             ratio_string(motzkin_number(k), bell_number(k)))
-            for k in range(1, max_n + 1)], max_n
-    assert len(supports._asymptotics_rows) == 61
 
 
 def test_asymptotics_rows():
