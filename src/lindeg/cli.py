@@ -17,6 +17,10 @@ functions of their arguments, so each of their reports is rendered once
 per process into one immutable string.  ``verify`` renders per request,
 because a repeated verify must run its checks again, and so does
 ``dual``, whose input is arbitrary.
+
+Each distinct argv is parsed once per process (the most recent 1,024), so
+repeated requests share one namespace and nothing may write to it.  A
+failed parse is not cached: usage errors and help print on every request.
 """
 
 from __future__ import annotations
@@ -253,7 +257,7 @@ def _verify_report(args) -> tuple[str, int]:
 
 def _dual_report(args) -> tuple[str, int]:
     m = parse_multisegment(args.multisegment, args.n)
-    _check_cap(m.n, args.cap)
+    _check_cap(m.n, _cap(args))
     general = dual_rank_tuple_general(m)
     near = dual_rank_tuple_near_simple(m) if m.is_near_simple() else None
     match = None if near is None else (near == general)
@@ -310,9 +314,9 @@ def _asymptotics_text(max_n: int, fmt: str) -> str:
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse returns a
-    fresh namespace, so reusing it is safe.  Each subcommand's ``report``
-    maps the namespace to (text, exit code)."""
+    """The argument parser, built once per process.  Each subcommand's
+    ``report`` maps the namespace to (text, exit code) and only reads it:
+    ``_parse`` hands the same namespace to every request with that argv."""
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=["text", "json", "csv"],
                            default="text", help="output format")
@@ -369,6 +373,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Room for the 245 distinct argvs of the perfbench request stream, and a
+#: bound on what arbitrary ``dual`` input can make a long process hold.
+@lru_cache(maxsize=1024)
+def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
+    """The shared, read-only namespace of argv."""
+    return _build_parser().parse_args(argv)
+
+
+def _cap(args) -> int:
+    return DEFAULT_MAX_N if args.max_n is None else args.max_n
+
+
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"n={n} exceeds the size cap {cap}; "
@@ -376,10 +392,9 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def _check_size(args) -> None:
-    """Check n against the size cap of a sized subcommand, warn on stderr
-    when --max-n raises the cap, and store the cap in args.cap; raise
-    ValueError on a usage error."""
-    cap = DEFAULT_MAX_N
+    """Check n against the size cap of a sized subcommand and warn on
+    stderr when --max-n raises the cap; raise ValueError on a usage
+    error."""
     if args.max_n is not None:
         if args.max_n < 1:
             raise ValueError("--max-n must be at least 1")
@@ -390,8 +405,6 @@ def _check_size(args) -> None:
                         f"{solve_products(args.n):,} Laurent products")
             print(f"warning: size cap raised to {args.max_n}; expansion cost "
                   f"grows rapidly with n{cost}", file=sys.stderr)
-        cap = args.max_n
-    args.cap = cap
     n = args.n
     if args.command == "dual":
         if n is not None and n < 1:
@@ -399,19 +412,18 @@ def _check_size(args) -> None:
     elif n < 1:
         raise ValueError("n must be at least 1")
     else:
-        _check_cap(n, cap)
+        _check_cap(n, _cap(args))
 
 
 def main(argv=None) -> int:
     """Parse argv, run its subcommand's report and write the report with
     one write; the exit code of a usage error is 2, of an internal error 1."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(tuple(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "report", None) is None:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return 2
     try:
         if getattr(args, "sized", False):

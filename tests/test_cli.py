@@ -306,7 +306,21 @@ def test_error_paths_exactly(capsys, monkeypatch, argv, patch, code, out,
                              err):
     if patch is not None:
         patch(monkeypatch)
+    # twice in one process: a failed parse is not cached, and the warnings
+    # of a cached parse are printed again
     assert run_cli(capsys, *argv) == (code, out, err)
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
+def test_parse_cache_is_bounded(capsys):
+    from lindeg import cli
+
+    misses = cli._parse.cache_info().misses
+    for k in range(1, 1101):
+        assert run_cli(capsys, "dual", f"1,1={k}")[0] == 0
+    info = cli._parse.cache_info()
+    assert info.misses - misses == 1100
+    assert info.currsize <= 1024
 
 
 def test_unknown_subcommand_exactly(capsys):
@@ -382,6 +396,11 @@ def test_repeated_requests_share_one_parser(capsys):
     from lindeg import cli
 
     assert cli._build_parser() is cli._build_parser()
+    first = run_cli(capsys, "motzkin", "4")
+    hits = cli._parse.cache_info().hits
+    assert run_cli(capsys, "motzkin", "4") == first
+    assert cli._parse.cache_info().hits == hits + 1  # parsed only once
+    assert cli._parse(("motzkin", "4")) is cli._parse(("motzkin", "4"))
     code, out, err = run_cli(capsys, "expand", "--bogus", "2")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --bogus" in err
@@ -476,9 +495,9 @@ def clear_every_cache():
     """Drop every per-process result behind the cached reports."""
     from lindeg import cli, combinatorics, expansion
 
-    for cached in (cli._supports_text, cli._motzkin_text, cli._expand_text,
-                   cli._asymptotics_text, combinatorics._motzkin_paths,
-                   expansion.canonical_coeffs):
+    for cached in (cli._parse, cli._supports_text, cli._motzkin_text,
+                   cli._expand_text, cli._asymptotics_text,
+                   combinatorics._motzkin_paths, expansion.canonical_coeffs):
         cached.cache_clear()
 
 
@@ -490,6 +509,24 @@ def test_warm_reports_equal_cold_reports(capsys):
             cold = run_cli(capsys, *argv)
             assert cold[0] == 0 and cold[2] == "", argv
             assert run_cli(capsys, *argv) == cold, argv
+
+
+def test_reports_leave_their_namespace_unchanged(capsys):
+    # a parsed namespace is shared by every request with its argv
+    from lindeg import cli
+
+    requests = [["supports", "3"], ["motzkin", "3"], ["expand", "2"],
+                ["expand", "2", "--expanded"], ["verify", "3"],
+                ["dual", "1,1=2;1,2=1;2,2=2"], ["dual", "1,3=1", "--n", "4"],
+                ["asymptotics", "5"]]
+    requests += [argv + ["--max-n", "9"] for argv in requests[:-1]]
+    for fmt in ("text", "json", "csv"):
+        for argv in requests:
+            argv = (*argv, "--format", fmt)
+            for _ in range(2):
+                assert run_cli(capsys, *argv)[0] == 0, argv
+            fresh = cli._build_parser().parse_args(argv)
+            assert vars(cli._parse(argv)) == vars(fresh), argv
 
 
 def test_cached_reports_are_strings():
