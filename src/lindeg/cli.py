@@ -12,11 +12,12 @@ on a usage error.  ``main`` is the one place that writes a report, with a
 single write to standard output, and the one place that maps an exception
 to its error line and exit code.
 
-``supports``, ``motzkin``, ``expand`` and ``asymptotics`` print pure
-functions of their arguments, so each of their reports is rendered once
-per process into one immutable string.  ``verify`` renders per request,
-because a repeated verify must run its checks again, and so does
-``dual``, whose input is arbitrary.
+``supports``, ``motzkin``, ``expand``, ``asymptotics`` and ``dual`` print
+pure functions of their arguments, so each of their reports is rendered
+once per process into one immutable string (``dual``'s for the 1,024 most
+recent inputs, since its input is arbitrary).  Only ``verify`` renders per
+request, because a repeated verify must run its checks again.  Errors and
+warnings are not cached: they reach standard error on every request.
 
 Each distinct argv is parsed once per process (the most recent 1,024), so
 repeated requests share one namespace and nothing may write to it.  A
@@ -255,13 +256,18 @@ def _verify_report(args) -> tuple[str, int]:
     return text, 0 if ok else 1
 
 
-def _dual_report(args) -> tuple[str, int]:
-    m = parse_multisegment(args.multisegment, args.n)
-    _check_cap(m.n, _cap(args))
+#: Bounded like ``_parse``: its keys are arbitrary ``dual`` input.
+@lru_cache(maxsize=1024)
+def _dual_text(multisegment: str, n: int | None, fmt: str,
+               cap: int) -> tuple[str, int]:
+    """The dual report of one request and its exit code, 1 when the
+    near-simple closed form disagrees with the general formula."""
+    m = parse_multisegment(multisegment, n)
+    _check_cap(m.n, cap)
     general = dual_rank_tuple_general(m)
     near = dual_rank_tuple_near_simple(m) if m.is_near_simple() else None
     match = None if near is None else (near == general)
-    if args.format == "json":
+    if fmt == "json":
         text = _json_text({
             "n": m.n,
             "multisegment": m.to_pairs(),
@@ -269,7 +275,7 @@ def _dual_report(args) -> tuple[str, int]:
             "near_simple": None if near is None else _rank_json(near),
             "match": match,
         })
-    elif args.format == "csv":
+    elif fmt == "csv":
         rows = [["formula", "ranks"], ["general", ranks_str(general)]]
         if near is not None:
             rows.append(["near-simple", ranks_str(near)])
@@ -284,11 +290,16 @@ def _dual_report(args) -> tuple[str, int]:
             lines += [f"near-simple: {ranks_str(near)}",
                       f"match: {'yes' if match else 'MISMATCH'}"]
         text = _lines_text(lines)
-    if match is False:
+    return text, 1 if match is False else 0
+
+
+def _dual_report(args) -> tuple[str, int]:
+    text, code = _dual_text(args.multisegment, args.n, args.format,
+                            _cap(args))
+    if code:
         print("internal error: the closed form disagrees with the "
               "general duality formula", file=sys.stderr)
-        return text, 1
-    return text, 0
+    return text, code
 
 
 #: max_n has no size cap, so this cache keeps only the most recent texts.

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
@@ -233,12 +234,24 @@ CAP_WARNING = ("warning: size cap raised to 9; expansion cost grows rapidly "
                "with n")
 
 
+def fresh_dual_cache(monkeypatch):
+    """Serve ``dual`` from an empty cache of the same bound until the test
+    ends, so that no report cached earlier hides a patched duality formula
+    and no report computed under the patch outlives it."""
+    from lindeg import cli
+
+    bound = cli._dual_text.cache_parameters()["maxsize"]
+    monkeypatch.setattr(cli, "_dual_text",
+                        lru_cache(maxsize=bound)(cli._dual_text.__wrapped__))
+
+
 def wrong_near_simple(monkeypatch):
     from lindeg import cli
 
     def wrong(m):
         return Multisegment(m.n, {(1, m.n): 1}).rank_tuple()
 
+    fresh_dual_cache(monkeypatch)
     monkeypatch.setattr(cli, "dual_rank_tuple_near_simple", wrong)
 
 
@@ -307,7 +320,8 @@ def test_error_paths_exactly(capsys, monkeypatch, argv, patch, code, out,
     if patch is not None:
         patch(monkeypatch)
     # twice in one process: a failed parse is not cached, and the warnings
-    # of a cached parse are printed again
+    # of a cached parse, the errors of a refused dual and the internal error
+    # of a cached dual mismatch are printed again
     assert run_cli(capsys, *argv) == (code, out, err)
     assert run_cli(capsys, *argv) == (code, out, err)
 
@@ -321,6 +335,7 @@ def test_parse_cache_is_bounded(capsys):
     info = cli._parse.cache_info()
     assert info.misses - misses == 1100
     assert info.currsize <= 1024
+    assert cli._dual_text.cache_info().currsize <= 1024
 
 
 def test_unknown_subcommand_exactly(capsys):
@@ -488,7 +503,10 @@ CACHED_REQUESTS = (
     + [["motzkin", str(k)] for k in range(1, 9)]
     + [["expand", str(k)] + flag for k in range(1, 6)
        for flag in ([], ["--expanded"])]
-    + [["asymptotics", str(m)] for m in (1, 7, 60)])
+    + [["asymptotics", str(m)] for m in (1, 7, 60)]
+    + [["dual", "1,1=2;1,2=1;2,2=2"], ["dual", "1,3=1;2,2=1"],
+       ["dual", "1,2=2;3,5=1;4,8=3;6,6=1", "--n", "8"],
+       ["dual", "", "--n", "2"]])
 
 
 def clear_every_cache():
@@ -496,7 +514,7 @@ def clear_every_cache():
     from lindeg import cli, combinatorics, expansion
 
     for cached in (cli._parse, cli._supports_text, cli._motzkin_text,
-                   cli._expand_text, cli._asymptotics_text,
+                   cli._expand_text, cli._asymptotics_text, cli._dual_text,
                    combinatorics._motzkin_paths, expansion.canonical_coeffs):
         cached.cache_clear()
 
@@ -542,27 +560,59 @@ def test_cached_reports_are_strings():
         for cached, args in calls:
             text = cached(*args)
             assert type(text) is str and cached(*args) is text, args
+        for ms in ("1,1=2;1,2=1;2,2=2", "1,3=1;2,2=1"):
+            report = cli._dual_text(ms, None, fmt, 8)
+            assert type(report) is tuple and type(report[0]) is str
+            assert report[1] == 0
+            assert cli._dual_text(ms, None, fmt, 8) is report
 
 
-def test_verify_and_dual_render_per_request(capsys, monkeypatch):
-    # a repeated verify runs its checks again; dual takes arbitrary input
+def test_verify_runs_its_checks_on_every_request(capsys, monkeypatch):
     from lindeg import cli
 
     calls = []
-    verify, dual = cli.verify_supports, cli.dual_rank_tuple_general
+    verify = cli.verify_supports
 
-    def counting(fn):
-        def wrapped(arg):
-            calls.append(fn.__name__)
-            return fn(arg)
-        return wrapped
+    def counting(n):
+        calls.append(n)
+        return verify(n)
 
-    monkeypatch.setattr(cli, "verify_supports", counting(verify))
-    monkeypatch.setattr(cli, "dual_rank_tuple_general", counting(dual))
-    for argv in (["verify", "4"], ["dual", "1,1=2;1,2=1;2,2=2"]):
-        first = run_cli(capsys, *argv)
-        assert run_cli(capsys, *argv) == first
-    assert calls == ["verify_supports"] * 2 + ["dual_rank_tuple_general"] * 2
+    monkeypatch.setattr(cli, "verify_supports", counting)
+    first = run_cli(capsys, "verify", "4")
+    assert run_cli(capsys, "verify", "4") == first
+    assert calls == [4, 4]
+
+
+def test_dual_computes_once_per_distinct_request(capsys, monkeypatch):
+    from lindeg import cli
+
+    calls = []
+    general = cli.dual_rank_tuple_general
+
+    def counting(m):
+        calls.append(m)
+        return general(m)
+
+    fresh_dual_cache(monkeypatch)
+    monkeypatch.setattr(cli, "dual_rank_tuple_general", counting)
+    requests = [["dual", "1,1=2;1,2=1;2,2=2"],
+                ["dual", "1,1=2;1,2=1;2,2=2", "--format", "json"],
+                ["dual", "1,3=1", "--n", "4", "--format", "csv"]]
+    for argv in requests:
+        cold = run_cli(capsys, *argv)
+        assert cold[0] == 0 and cold[1] and cold[2] == "", argv
+        assert run_cli(capsys, *argv) == cold, argv
+    assert len(calls) == len(requests)
+    # the size cap is part of the key, and a refusal is not cached
+    refused = (2, "", "error: n=9 exceeds the size cap 8; "
+                      "pass --max-n 9 to override\n")
+    assert run_cli(capsys, "dual", "1,9=1") == refused
+    assert run_cli(capsys, "dual", "1,9=1") == refused
+    code, out, err = run_cli(capsys, "dual", "1,9=1", "--max-n", "9")
+    assert code == 0 and out.startswith("dual n=9: 1,9=1\n")
+    assert err == CAP_WARNING + "\n"
+    assert run_cli(capsys, "dual", "1,9=1") == refused
+    assert len(calls) == len(requests) + 1
 
 
 def test_module_entry_point():
