@@ -40,6 +40,7 @@ from .combinatorics import (
     motzkin_number,
     motzkin_paths,
     path_to_multisegment,
+    segments_str,
 )
 from .duality import (
     dual_rank_tuple,
@@ -59,17 +60,6 @@ from .supports import (
 #: Subcommands refuse n above this unless --max-n raises the cap; the
 #: expansion engine cost grows quickly with the parameter set.
 DEFAULT_MAX_N = 8
-
-
-def segments_str(items) -> str:
-    """Sorted ((i, j), mult) items as "i,j=mult;...", "0" when empty."""
-    if not items:
-        return "0"
-    return ";".join(f"{i},{j}={v}" for (i, j), v in items)
-
-
-def ranks_str(rt: RankTuple) -> str:
-    return ";".join(f"{i},{j}={v}" for i, j, v in rt.to_pairs())
 
 
 def parse_multisegment(text: str, n: int | None) -> Multisegment:
@@ -276,18 +266,19 @@ def _dual_text(multisegment: str, n: int | None, fmt: str,
             "match": match,
         })
     elif fmt == "csv":
-        rows = [["formula", "ranks"], ["general", ranks_str(general)]]
+        rows = [["formula", "ranks"],
+                ["general", segments_str(general.r.items())]]
         if near is not None:
-            rows.append(["near-simple", ranks_str(near)])
+            rows.append(["near-simple", segments_str(near.r.items())])
         text = _csv_text(rows)
     else:
         lines = [f"dual n={m.n}: {segments_str(sorted(m.mult.items()))}",
-                 f"general: {ranks_str(general)}"]
+                 f"general: {segments_str(general.r.items())}"]
         if near is None:
             lines.append("near-simple: n/a (a segment of length 3 or more "
                          "is present)")
         else:
-            lines += [f"near-simple: {ranks_str(near)}",
+            lines += [f"near-simple: {segments_str(near.r.items())}",
                       f"match: {'yes' if match else 'MISMATCH'}"]
         text = _lines_text(lines)
     return text, 1 if match is False else 0
@@ -295,7 +286,7 @@ def _dual_text(multisegment: str, n: int | None, fmt: str,
 
 def _dual_report(args) -> tuple[str, int]:
     text, code = _dual_text(args.multisegment, args.n, args.format,
-                            _cap(args))
+                            args.max_n)
     if code:
         print("internal error: the closed form disagrees with the "
               "general duality formula", file=sys.stderr)
@@ -332,9 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
     formatted.add_argument("--format", choices=["text", "json", "csv"],
                            default="text", help="output format")
     sized = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    sized.add_argument("--max-n", type=int, default=None, metavar="K",
-                       help=f"raise the size cap above the default "
-                            f"{DEFAULT_MAX_N} (expect long runtimes)")
+    sized.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+                       metavar="K", help=f"raise the size cap above the "
+                       f"default {DEFAULT_MAX_N} (expect long runtimes)")
     sized.set_defaults(sized=True)
 
     parser = argparse.ArgumentParser(
@@ -392,10 +383,6 @@ def _parse(argv: tuple[str, ...]) -> argparse.Namespace:
     return _build_parser().parse_args(argv)
 
 
-def _cap(args) -> int:
-    return DEFAULT_MAX_N if args.max_n is None else args.max_n
-
-
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(f"n={n} exceeds the size cap {cap}; "
@@ -406,16 +393,17 @@ def _check_size(args) -> None:
     """Check n against the size cap of a sized subcommand and warn on
     stderr when --max-n raises the cap; raise ValueError on a usage
     error."""
-    if args.max_n is not None:
-        if args.max_n < 1:
-            raise ValueError("--max-n must be at least 1")
-        if args.max_n > DEFAULT_MAX_N:
-            cost = ""
-            if args.command in ("expand", "verify") and args.n >= 1:
-                cost = (f": the Z solve at n={args.n} takes at most "
-                        f"{solve_products(args.n):,} Laurent products")
-            print(f"warning: size cap raised to {args.max_n}; expansion cost "
-                  f"grows rapidly with n{cost}", file=sys.stderr)
+    if args.max_n < 1:
+        raise ValueError("--max-n must be at least 1")
+    if args.max_n > DEFAULT_MAX_N:
+        cost, bound = "cost", ""
+        if args.command in ("expand", "verify"):
+            cost = "expansion cost"
+            if args.n >= 1:
+                bound = (f": the Z solve at n={args.n} takes at most "
+                         f"{solve_products(args.n):,} Laurent products")
+        print(f"warning: size cap raised to {args.max_n}; {cost} grows "
+              f"rapidly with n{bound}", file=sys.stderr)
     n = args.n
     if args.command == "dual":
         if n is not None and n < 1:
@@ -423,7 +411,7 @@ def _check_size(args) -> None:
     elif n < 1:
         raise ValueError("n must be at least 1")
     else:
-        _check_cap(n, _cap(args))
+        _check_cap(n, args.max_n)
 
 
 def main(argv=None) -> int:

@@ -115,10 +115,7 @@ def _bell_numbers():
     row = [1]
     while True:
         yield row[0]
-        nxt = [row[-1]]
-        for c in row:
-            nxt.append(nxt[-1] + c)
-        row = nxt
+        row = list(itertools.accumulate(row, initial=row[-1]))
 
 
 def motzkin_number(n: int) -> int:
@@ -138,6 +135,11 @@ def bell_number(n: int) -> int:
 # ---------------------------------------------------------------------------
 # multisegments and rank tuples
 # ---------------------------------------------------------------------------
+
+def segments_str(items) -> str:
+    """((i, j), value) items as "i,j=value;...", "0" when there are none."""
+    return ";".join(f"{i},{j}={v}" for (i, j), v in items) or "0"
+
 
 class Multisegment:
     """A nonnegative multiplicity function on the intervals [i, j], i <= j <= n."""
@@ -195,8 +197,8 @@ class Multisegment:
         return hash((self.n, frozenset(self.mult.items())))
 
     def __repr__(self):
-        body = ";".join(f"{i},{j}={m}" for (i, j), m in sorted(self.mult.items()))
-        return f"Multisegment(n={self.n}, {body or '0'})"
+        body = segments_str(sorted(self.mult.items()))
+        return f"Multisegment(n={self.n}, {body})"
 
 
 class RankTuple:
@@ -453,17 +455,11 @@ def _rank_row(n: int, suffix) -> list:
 
 def has_single_peak(n: int, x) -> bool:
     """A Motzkin path weakly increasing up to some index p and weakly
-    decreasing from p on.  Membership is existential over p in 1..n-1."""
+    decreasing from p on: along the padded path, no rise follows a fall."""
     if not is_motzkin_path(n, x):
         return False
-    if n == 1:
-        return True
-    xe = padded(n, x)
-    for p in range(1, n):
-        if (all(xe[s - 1] <= xe[s] for s in range(1, p + 1))
-                and all(xe[t] >= xe[t + 1] for t in range(p, n))):
-            return True
-    return False
+    steps = [b - a for a, b in itertools.pairwise(padded(n, x)) if a != b]
+    return all(map(ge, steps, steps[1:]))
 
 
 def single_peak_paths(n: int) -> list:

@@ -30,6 +30,9 @@ x_{k-1}, m_{k,k} = n + 1 - x_{k-1} - x_k and m_{k,k+1} = x_k off x.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from operator import ge
+
 from .combinatorics import (
     Multisegment,
     RankTuple,
@@ -42,34 +45,23 @@ from .combinatorics import (
 
 def monotone_maps(nrows: int, ncols: int, lo: int, hi: int):
     """Yield all maps from an nrows x ncols grid to [lo, hi] that are weakly
-    increasing along rows and down columns, as tuples of row tuples."""
+    increasing along rows and down columns, as tuples of row tuples, in
+    lexicographic order: each row is one of the weakly increasing rows over
+    [lo, hi], and at least the row above it entry by entry."""
     if nrows < 1 or ncols < 1:
         raise ValueError("grid must be nonempty")
-    if hi < lo:
-        return
+    rows = list(combinations_with_replacement(range(lo, hi + 1), ncols))
 
-    def rows_at_least(floor):
-        # weakly increasing rows bounded below elementwise by `floor`
-        def extend(prefix):
-            col = len(prefix)
-            if col == ncols:
-                yield prefix
-                return
-            start = max(floor[col], prefix[-1] if prefix else lo)
-            for val in range(start, hi + 1):
-                yield from extend(prefix + (val,))
-
-        yield from extend(())
-
-    def build(done, prev):
-        if done == nrows:
+    def stack(prev, left):
+        if not left:
             yield ()
             return
-        for row in rows_at_least(prev):
-            for rest in build(done + 1, row):
-                yield (row,) + rest
+        for row in rows:
+            if all(map(ge, row, prev)):
+                for rest in stack(row, left - 1):
+                    yield (row,) + rest
 
-    yield from build(0, (lo,) * ncols)
+    yield from stack((lo,) * ncols, nrows)
 
 
 def kz_rank_general(m: Multisegment, i: int, j: int) -> int:

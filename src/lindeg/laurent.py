@@ -14,7 +14,6 @@ share between threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Mapping, Union
 
 #: Degree of the zero polynomial.  float("-inf") so that comparisons and
@@ -171,10 +170,7 @@ class LaurentPoly:
         """Divide exactly by ``other``, raising ValueError on any remainder.
 
         Division in Z[v, v^-1] reduces to ordinary polynomial division after
-        shifting both operands so their lowest exponent is zero.  Quantum
-        symbols occupy a single parity class, so the common stride of the
-        exponent lattice is divided out first; an exact quotient always
-        lives on the same lattice.
+        shifting both operands so their lowest exponent is zero.
         """
         other = _coerce(other)
         if not other:
@@ -183,25 +179,15 @@ class LaurentPoly:
             return ZERO
         amin = min(self._terms)
         bmin = min(other._terms)
-        stride = 0
-        for e in self._terms:
-            stride = gcd(stride, e - amin)
-        for e in other._terms:
-            stride = gcd(stride, e - bmin)
-        if stride == 0:
-            stride = 1
-        la = (max(self._terms) - amin) // stride + 1
-        lb = (max(other._terms) - bmin) // stride + 1
+        la = max(self._terms) - amin + 1
+        lb = max(other._terms) - bmin + 1
         if la < lb:
             raise ValueError(f"{other!r} does not divide {self!r}")
         rem = [0] * la
         for e, c in self._terms.items():
-            rem[(e - amin) // stride] = c
-        div = [0] * lb
-        for e, c in other._terms.items():
-            div[(e - bmin) // stride] = c
-        lead = div[-1]
-        div_items = [(j, dc) for j, dc in enumerate(div) if dc]
+            rem[e - amin] = c
+        div_items = [(e - bmin, c) for e, c in other._terms.items()]
+        lead = other._terms[bmin + lb - 1]
         quot = [0] * (la - lb + 1)
         for i in range(la - lb, -1, -1):
             c = rem[i + lb - 1]
@@ -216,7 +202,7 @@ class LaurentPoly:
         if any(rem):
             raise ValueError(f"{other!r} does not divide {self!r}")
         shift = amin - bmin
-        return _raw({i * stride + shift: c for i, c in enumerate(quot) if c})
+        return _raw({i + shift: c for i, c in enumerate(quot) if c})
 
     # -- display ----------------------------------------------------------------
 

@@ -15,6 +15,9 @@
   tuples, against the degrees of the coefficients themselves.
 * ``motzkin_numbers``: M_0, M_1, ... by the convolution recurrence,
   against the three-term recurrence in ``lindeg.combinatorics``.
+* ``has_single_peak``: the single-peak test by a search over every peak
+  position p, against the one pass over the steps in
+  ``lindeg.combinatorics``.
 * ``rank_from_motzkin``: the support rank tuple of a Motzkin path by the
   four-index maximum, against the one-sweep form in
   ``lindeg.combinatorics``; ``rank_entries_from_motzkin`` gives it as a
@@ -215,6 +218,21 @@ def motzkin_numbers(count: int) -> list:
         k = len(m) - 1
         m.append(m[k] + sum(m[i] * m[k - 1 - i] for i in range(k)))
     return m[:count]
+
+
+def has_single_peak(n: int, x) -> bool:
+    """A Motzkin path weakly increasing up to some index p and weakly
+    decreasing from p on.  Membership is existential over p in 1..n-1."""
+    if not is_motzkin_path(n, x):
+        return False
+    if n == 1:
+        return True
+    xe = padded(n, x)
+    for p in range(1, n):
+        if (all(xe[s - 1] <= xe[s] for s in range(1, p + 1))
+                and all(xe[t] >= xe[t + 1] for t in range(p, n))):
+            return True
+    return False
 
 
 def rank_from_motzkin(n: int, x) -> RankTuple:

@@ -230,8 +230,11 @@ def test_usage_errors(capsys):
 USAGE = ("usage: lindeg [-h] {supports,expand,motzkin,dual,verify,asymptotics}"
          " ...\n")
 SUBCOMMANDS = ("supports", "expand", "motzkin", "dual", "verify", "asymptotics")
-CAP_WARNING = ("warning: size cap raised to 9; expansion cost grows rapidly "
-               "with n")
+#: the --max-n 9 warning of the subcommands that run no expansion, and of
+#: expand and verify
+CAP_WARNING = "warning: size cap raised to 9; cost grows rapidly with n"
+EXPANSION_CAP_WARNING = ("warning: size cap raised to 9; expansion cost grows "
+                         "rapidly with n")
 
 
 def fresh_dual_cache(monkeypatch):
@@ -294,9 +297,10 @@ ERROR_PATHS = [
      "expansion n=2: 2 terms\n"
      "y=(1)  segments=[1,1=2;1,2=1;2,2=2]  rank=(2)  coeff=1\n"
      "y=(0)  segments=[1,1=3;2,2=3]  rank=(3)  coeff=[3]!\n",
-     CAP_WARNING + ": the Z solve at n=2 takes at most 0 Laurent products\n"),
+     EXPANSION_CAP_WARNING
+     + ": the Z solve at n=2 takes at most 0 Laurent products\n"),
     (["verify", "0", "--max-n", "9"], None, 2, "",
-     CAP_WARNING + "\nerror: n must be at least 1\n"),
+     EXPANSION_CAP_WARNING + "\nerror: n must be at least 1\n"),
     (["dual", "1,1=1", "--max-n", "9"], None, 0,
      "dual n=1: 1,1=1\ngeneral: 1,1=1\nnear-simple: 1,1=1\nmatch: yes\n",
      CAP_WARNING + "\n"),
@@ -373,9 +377,33 @@ def test_one_stdout_write_per_request(monkeypatch, fmt):
 def test_max_n_override_warns(capsys):
     code, out, err = run_cli(capsys, "motzkin", "9", "--max-n", "9")
     assert code == 0
-    assert "warning: size cap raised" in err
+    # motzkin runs no expansion, so its warning names no expansion cost
+    assert err == CAP_WARNING + "\n"
     assert len(out.splitlines()) == 1 + 835  # header plus Motzkin number 9
-    assert "products" not in err  # motzkin does not run the expansion
+
+
+def test_explicit_default_cap_is_no_flag(capsys):
+    for argv in (["supports", "8"], ["motzkin", "8"], ["expand", "3"],
+                 ["verify", "3"], ["dual", "1,2=2;3,5=1;4,8=3;6,6=1"],
+                 ["supports", "9"], ["dual", "1,9=1"], ["expand", "0"]):
+        for fmt in ("text", "json", "csv"):
+            argv = [*argv, "--format", fmt]
+            plain = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv, "--max-n", "8") == plain, argv
+            assert "warning" not in plain[2]
+
+
+def test_help_texts_exactly(capsys, monkeypatch):
+    # SHA-256 over the --help output of lindeg and of each subcommand in
+    # turn, at 80 columns; the same on Python 3.10 to 3.13
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for argv in [[], *([command] for command in SUBCOMMANDS)]:
+        code, out, err = run_cli(capsys, *argv, "--help")
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "21dfd5247a587c4988eb57d2ec7a66391915ca13c10438331d4c84afcd2cbd8e")
 
 
 def test_max_n_warning_states_solve_cost(capsys, monkeypatch):
@@ -429,8 +457,7 @@ def test_repeated_requests_share_one_parser(capsys):
     code, out, err = run_cli(capsys, "motzkin", "2", "--max-n", "9")
     assert code == 0
     assert out == "motzkin n=2: 2 paths\n(0)\n(1)\n"
-    assert err == ("warning: size cap raised to 9; expansion cost grows "
-                   "rapidly with n\n")
+    assert err == CAP_WARNING + "\n"
     code, out, err = run_cli(capsys, "motzkin", "3")
     assert (code, err) == (0, "")  # no option leaks into the next request
     assert out.startswith("motzkin n=3: 4 paths\n")

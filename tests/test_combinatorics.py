@@ -284,6 +284,18 @@ def test_single_peak():
         assert all(is_motzkin_path(n, x) for x in peaks)
 
 
+def test_single_peak_matches_the_search_over_peak_positions():
+    # all of P(n), the Motzkin paths beyond it, and tuples that are no
+    # path: wrong length, a negative or non-int entry
+    cases = [(n, x) for n in range(1, 9) for x in ptuples(n)]
+    cases += [(n, x) for n in range(9, 11) for x in motzkin_paths(n)]
+    cases += [(1, (0,)), (3, (1,)), (3, (1, 1, 0)), (3, (-1, 0)),
+              (4, (1, -1, 0)), (3, (1.0, 1)), (4, (1, 2, 0)),
+              (5, (0, 2, 1, 0))]
+    for n, x in cases:
+        assert has_single_peak(n, x) == oracles.has_single_peak(n, x), (n, x)
+
+
 def test_pbw_locus():
     for n in range(2, 9):
         locus = pbw_locus_ranks(n)

@@ -45,10 +45,23 @@ def brute_monotone_count(nrows, ncols, lo, hi):
 
 def test_monotone_maps_counts():
     assert sum(1 for _ in monotone_maps(1, 1, 2, 5)) == 4
-    for nrows, ncols, lo, hi in [(2, 2, 1, 3), (2, 3, 2, 3), (3, 2, 0, 2)]:
+    for nrows, ncols, lo, hi in [(2, 2, 1, 3), (2, 3, 2, 3), (3, 2, 0, 2),
+                                 (1, 4, 0, 2), (1, 3, 2, 2), (4, 1, 1, 3),
+                                 (3, 1, 0, 0)]:
         got = sum(1 for _ in monotone_maps(nrows, ncols, lo, hi))
         assert got == brute_monotone_count(nrows, ncols, lo, hi)
-    assert list(monotone_maps(1, 1, 3, 2)) == []
+    for nrows, ncols in [(1, 1), (1, 3), (3, 1), (2, 2)]:
+        assert list(monotone_maps(nrows, ncols, 3, 2)) == []
+    with pytest.raises(ValueError):
+        next(monotone_maps(0, 2, 1, 2))
+
+
+def test_monotone_maps_are_in_lexicographic_order():
+    # demo 03 prints the first and the last map
+    for grid in itertools.product(range(1, 4), range(1, 4), range(0, 2),
+                                  range(0, 4)):
+        maps = list(monotone_maps(*grid))
+        assert maps == sorted(set(maps)), grid
 
 
 def test_monotone_maps_are_monotone():

@@ -169,6 +169,17 @@ def test_exact_div():
     # mixed-parity operands
     b = LaurentPoly({1: 1, 0: 1}) * LaurentPoly({2: 1, -2: 1})
     assert b.exact_div(LaurentPoly({1: 1, 0: 1})) == LaurentPoly({2: 1, -2: 1})
+    # both operands on stride 3, and strides 3 and 1 mixed
+    assert (LaurentPoly({6: 1, -6: -1}).exact_div(LaurentPoly({3: 1, -3: -1}))
+            == LaurentPoly({3: 1, -3: 1}))
+    assert (LaurentPoly({3: 1, 0: 1}).exact_div(V + 1)
+            == LaurentPoly({2: 1, 1: -1, 0: 1}))
+    assert (LaurentPoly({4: 2, -5: -2}).exact_div(LaurentPoly({3: 1, -6: -1}))
+            == LaurentPoly({1: 2}))
+    with pytest.raises(ValueError):
+        LaurentPoly({6: 1, 0: 1}).exact_div(LaurentPoly({3: 1, 0: -1}))
+    with pytest.raises(ValueError):
+        LaurentPoly({3: 1, 0: 1}).exact_div(LaurentPoly({2: 1, 0: 1}))
 
 
 def test_serialization_roundtrip():
