@@ -324,8 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="text", help="output format")
     sized = argparse.ArgumentParser(add_help=False, parents=[formatted])
     sized.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
-                       metavar="K", help=f"raise the size cap above the "
-                       f"default {DEFAULT_MAX_N} (expect long runtimes)")
+                       metavar="K", help=f"set the size cap to K (default "
+                       f"{DEFAULT_MAX_N}); a cap above {DEFAULT_MAX_N} prints "
+                       f"a cost warning")
     sized.set_defaults(sized=True)
 
     parser = argparse.ArgumentParser(

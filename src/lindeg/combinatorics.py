@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import ge, itemgetter
+from operator import ge
 from types import MappingProxyType
 
 
@@ -256,11 +256,13 @@ class RankTuple:
         return 0 if pos is None else self.values[pos]
 
     def off_diagonal(self) -> tuple:
-        return _layout(self.n).off_diagonal(self.values)
+        return tuple(map(self.values.__getitem__,
+                         _layout(self.n).off_diagonal))
 
     def hat(self) -> "RankTuple":
         """The reflection involution r_ij -> r_{n+1-j, n+1-i}."""
-        return _rank_tuple(self.n, _layout(self.n).hat(self.values))
+        return _rank_tuple(self.n, tuple(map(self.values.__getitem__,
+                                             _layout(self.n).hat)))
 
     def geq_r1(self) -> bool:
         """Componentwise comparison against the threshold tuple n+1+i-j."""
@@ -326,15 +328,6 @@ def _multisegment(n: int, mult: dict) -> Multisegment:
     return m
 
 
-def _gather(positions):
-    """values -> tuple(values[p] for p in positions); one C-level
-    itemgetter call when there are two positions or more (itemgetter of
-    one position returns the entry, not a tuple)."""
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    return lambda values: tuple([values[p] for p in positions])
-
-
 class _Layout:
     """Positions in the value tuple of a rank tuple for one n."""
 
@@ -346,12 +339,11 @@ class _Layout:
         self.keys = keys = tuple((i, j) for i in range(1, n + 1)
                                  for j in range(i, n + 1))
         self.index = index = {key: pos for pos, key in enumerate(keys)}
-        # values -> (r_12, r_13, ..., r_{n-1,n})
-        self.off_diagonal = _gather([pos for pos, (i, j) in enumerate(keys)
-                                     if i != j])
-        # values -> the values of r_{n+1-j, n+1-i}
-        self.hat = _gather([index[(n + 1 - j, n + 1 - i)]
-                            for (i, j) in keys])
+        # the positions of r_12, r_13, ..., r_{n-1,n}
+        self.off_diagonal = tuple(pos for pos, (i, j) in enumerate(keys)
+                                  if i != j)
+        # the position of r_{n+1-j, n+1-i}, per position
+        self.hat = tuple(index[(n + 1 - j, n + 1 - i)] for (i, j) in keys)
         self.threshold = tuple(n + 1 + i - j for (i, j) in keys)
         # per position, (key, the positions of (i-1, j), (i, j+1) and
         # (i-1, j+1)); len(keys) stands for a key outside the triangle

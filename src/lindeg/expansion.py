@@ -392,12 +392,12 @@ class _PackedView(Mapping):
 
 def _bar_table(n: int, width: int) -> dict:
     """W on the packed kernel as a by-target table in width-bit slots, one
-    column x at a time.  A depth-first walk over the coordinates of y
-    multiplies memoized local factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the
-    closed form into shared prefix products; g_n is folded into the factor
-    for k = n - 1, so each entry costs about one multiply.  A new entry is
-    decoded once, for the slot guard and its tight norm.  Each entry also
-    fills its mirror (rev x, rev y)."""
+    column x at a time.  One loop per coordinate k extends the lexicographic
+    list of (y prefix, d_k, packed prefix product) by the memoized local
+    factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed form; g_n is
+    folded into the factor for k = n - 1, so each entry costs about one
+    multiply.  A new entry is decoded once, for the slot guard and its tight
+    norm.  Each entry also fills its mirror (rev x, rev y)."""
     table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
 
     def local(xp, xk, dp, dk):
@@ -405,46 +405,39 @@ def _bar_table(n: int, width: int) -> dict:
         return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
                 * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
-    def column(x):
-        rx = x[::-1]
-        if rx < x:
-            return  # filled when its mirror rx is walked
-        xe = padded(n, x)
-
-        def factor(k, dp, dk):
-            key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
-            if key not in factors:
-                g = local(xe[k - 1], xe[k], dp, dk)
-                if k == n - 1:
-                    g = g * local(xe[k], 0, dk, 0)
-                factors[key] = g and _pack(g._terms, width,
-                                           ("W factor", n, key))
-            return factors[key]
-
-        def walk(k, y, dp, value, lo, hi, norm):
-            if k == n:
-                label = ("W", n, (x, y))
-                _check_bound(norm, width, label)
-                w = interned.get((value, lo))
-                if w is None:
-                    slots = _decode(value, lo, hi, width, label)
-                    w = interned[(value, lo)] = (value, lo, hi,
-                                                 sum(map(abs, slots)))
-                table[y][x] = table[y[::-1]][rx] = w
-                return
-            for yk in range(xe[k] + 1):
-                dk = xe[k] - yk
-                g = factor(k, dp, dk)
-                if g:
-                    walk(k + 1, y + (yk,), dk, value * g[0], lo + g[1],
-                         hi + g[2], norm * g[3])
-
-        walk(1, (), 0, *_UNIT)
-
     # the largest entries lie in the largest columns: walked from the top, a
     # refused width shows before any work is done
     for x in reversed(ptuples(n)):
-        column(x)
+        rx = x[::-1]
+        if rx < x:
+            continue  # filled when its mirror rx is walked
+        xe = padded(n, x)
+        prefixes = [((), 0, _UNIT)]
+        for k in range(1, n):
+            grown = []
+            for y, dp, prefix in prefixes:
+                for yk in range(xe[k] + 1):
+                    dk = xe[k] - yk
+                    key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
+                    g = factors.get(key)
+                    if g is None:
+                        g = local(xe[k - 1], xe[k], dp, dk)
+                        if k == n - 1:
+                            g = g * local(xe[k], 0, dk, 0)
+                        g = factors[key] = g and _pack(g._terms, width,
+                                                       ("W factor", n, key))
+                    if g:
+                        grown.append((y + (yk,), dk, _mul(prefix, g)))
+            prefixes = grown
+        for y, _, (value, lo, hi, norm) in prefixes:
+            label = ("W", n, (x, y))
+            _check_bound(norm, width, label)
+            w = interned.get((value, lo))
+            if w is None:
+                slots = _decode(value, lo, hi, width, label)
+                w = interned[(value, lo)] = (value, lo, hi,
+                                             sum(map(abs, slots)))
+            table[y][x] = table[y[::-1]][rx] = w
     return table
 
 

@@ -403,7 +403,7 @@ def test_help_texts_exactly(capsys, monkeypatch):
         assert (code, err) == (0, "")
         digest.update(out.encode())
     assert digest.hexdigest() == (
-        "21dfd5247a587c4988eb57d2ec7a66391915ca13c10438331d4c84afcd2cbd8e")
+        "ef4947dac7a99cee023c8cf2d4c55d60663734c07788d1f145b151f800f65b61")
 
 
 def test_max_n_warning_states_solve_cost(capsys, monkeypatch):

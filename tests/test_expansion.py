@@ -1,6 +1,7 @@
 """PBW expansion, bar transition, triangular solve, canonical coefficients."""
 
 import weakref
+from operator import sub
 
 import oracles
 import pytest
@@ -13,7 +14,13 @@ from oracles import (
 )
 
 from lindeg import expansion
-from lindeg.combinatorics import leq, motzkin_paths, ptuples, upper_bounds
+from lindeg.combinatorics import (
+    leq,
+    motzkin_paths,
+    padded,
+    ptuples,
+    upper_bounds,
+)
 from lindeg.expansion import (
     bar_transition_coeff,
     bar_transition_matrix,
@@ -247,10 +254,33 @@ def test_degree_gap():
             for z in pset:
                 assert (pbw_coeff_degree_gap(n, y, z)
                         == dy - pbw_coeff_degree(n, z))
+    for n in range(1, 8):
+        pset = ptuples(n)
         for y in motzkin_paths(n):
+            ye = padded(n, y)
             for z in pset:
                 if leq(y, z) and z != y:
-                    assert pbw_coeff_degree_gap(n, y, z) >= 0, (n, y, z)
+                    # padded d = z - y: the first sum is half the sum of
+                    # the squared steps of d, so at least 1 for d != 0, and
+                    # a Motzkin path keeps each term of the second >= 0
+                    d = tuple(map(sub, padded(n, z), ye))
+                    gap = pbw_coeff_degree_gap(n, y, z)
+                    assert gap == sum(
+                        d[k] * (d[k] - d[k + 1])
+                        + d[k] * (2 * ye[k] - ye[k - 1] - ye[k + 1] + 2)
+                        for k in range(1, n)), (n, y, z)
+                    assert gap >= 1, (n, y, z)
+
+
+def test_mu_has_the_top_term_of_pbw():
+    # proven for Motzkin y: every correction pbw(x) Z^-1(x, y), x > y, has
+    # degree below deg pbw(y) (see test_degree_gap); for the other y it is
+    # only observed
+    for n in range(1, 7):
+        for y, mu in canonical_coeffs(n).items():
+            top = pbw_coeff(n, y).degree()
+            assert pbw_coeff(n, y).coefficient(top) == 1, (n, y)
+            assert (mu.degree(), mu.coefficient(top)) == (top, 1), (n, y)
 
 
 # -- reversal symmetry ---------------------------------------------------------

@@ -15,6 +15,7 @@ from lindeg.combinatorics import (
     ptuples,
     rank_from_motzkin,
 )
+from lindeg.expansion import canonical_coeffs
 from lindeg.supports import (
     all_checks_pass,
     asymptotics_report,
@@ -139,6 +140,19 @@ def test_predicted_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         predicted_supports(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_expansion_leaves_no_cyclic_garbage():
+    # W's table, held by a reference cycle, would outlive the Z solve that
+    # takes it
+    canonical_coeffs.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_coeffs(6)
         assert gc.collect() == 0
     finally:
         gc.enable()
