@@ -47,7 +47,7 @@ from .duality import (
     dual_rank_tuple_general,
     dual_rank_tuple_near_simple,
 )
-from .expansion import canonical_coeffs, solve_products
+from .expansion import _pairs, canonical_coeffs
 from .laurent import LaurentPoly, qbinom, qfact, qint
 from .supports import (
     all_checks_pass,
@@ -401,8 +401,8 @@ def _check_size(args) -> None:
         if args.command in ("expand", "verify"):
             cost = "expansion cost"
             if args.n >= 1:
-                bound = (f": the Z solve at n={args.n} takes at most "
-                         f"{solve_products(args.n):,} Laurent products")
+                bound = (f": W and Z at n={args.n} have up to "
+                         f"{_pairs(args.n):,} entries each")
         print(f"warning: size cap raised to {args.max_n}; {cost} grows "
               f"rapidly with n{bound}", file=sys.stderr)
     n = args.n

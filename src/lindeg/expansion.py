@@ -84,6 +84,13 @@ v^-1 Z[v^-1] with a given z - bar(z).  Two facts follow:
 
 The Z solve box-solves one entry per reversal-canonical local key and
 builds the entries with two or more runs as products of their run factors.
+
+No zero factors on P(n).  There a_k = n + 1 - x_{k-1} - x_k >= 2, and d >= 0
+on a pair y <= x, so every g_k (the folded g_n too) is a product of nonzero
+terms: q-binomials [N choose K] with 0 <= K <= N, [d]! and powers of v and of
+v^-1 - v.  And y_k <= k, y_{k-1} <= n + 1 - k make every factor of pbw_coeff
+such a q-binomial.  So W has all ``_pairs(n)`` entries; mu(y) = 0 occurs, and
+Z is full only as far as observed (n <= 8), so both keep their zero tests.
 """
 
 from __future__ import annotations
@@ -92,10 +99,11 @@ import itertools
 from array import array
 from collections.abc import Mapping
 from functools import lru_cache, partial
+from math import comb, prod
 from operator import ne, neg
 from types import MappingProxyType
 
-from .combinatorics import leq, padded, ptuples, upper_bounds
+from .combinatorics import in_parameter_set, leq, padded, ptuples, upper_bounds
 from .laurent import ONE, LaurentPoly, _raw, qbinom, qfact, v_power
 
 #: v^-1 - v, the prefactor of the bar transition matrix.
@@ -109,8 +117,8 @@ def pbw_coeff(n: int, y) -> LaurentPoly:
     prod_k [n + 1 - y_{k-1} - y_k choose k - y_k].
     """
     y = tuple(y)
-    if len(y) != n - 1:
-        raise ValueError(f"expected a tuple of length {n - 1}, got {y!r}")
+    if not in_parameter_set(n, y):
+        raise ValueError(f"{y!r} is not a parameter tuple for n={n}")
     ye = padded(n, y)
     exponent = -sum((k - y[k - 1]) * (n - k - y[k - 1]) for k in range(1, n))
     coeff = v_power(exponent)
@@ -128,8 +136,9 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     prod_k [a_k + d_k + d_{k-1} choose d_k] [a_k + d_{k-1} choose d_{k-1}].
     """
     x, y = tuple(x), tuple(y)
-    if len(x) != n - 1 or len(y) != n - 1:
-        raise ValueError("tuples must have length n - 1")
+    for t in (x, y):
+        if not in_parameter_set(n, t):
+            raise ValueError(f"{t!r} is not a parameter tuple for n={n}")
     if not leq(y, x):
         return LaurentPoly()
     if x == y:
@@ -148,22 +157,10 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     return coeff
 
 
-def solve_products(n: int) -> int:
-    """Number of Laurent products in the solve for Z over P(n): the sum over
-    pairs y < x of prod_k (x_k - y_k + 1) - 2, the box [y, x] less its two
-    ends.  The sums over x and y factor coordinate by coordinate, so this is
-    prod C(b+3, 3) - 2 prod C(b+2, 2) + prod (b + 1) over the upper bounds
-    b = min(k, n - k), with no enumeration of P(n).
-
-    This counts the full box sums.  The packed solve box-solves only one
-    entry per local key and multiplies out the rest (see the module
-    docstring), so it is an upper bound on the work of the Z solve."""
-    triples = pairs = size = 1
-    for b in upper_bounds(n):
-        triples *= (b + 1) * (b + 2) * (b + 3) // 6
-        pairs *= (b + 1) * (b + 2) // 2
-        size *= b + 1
-    return triples - 2 * pairs + size
+def _pairs(n: int) -> int:
+    """The number of pairs y <= x in P(n), so of W's entries: the pairs
+    0 <= y_k <= x_k <= b_k count per coordinate, b the upper bounds."""
+    return prod(comb(b + 2, 2) for b in upper_bounds(n))
 
 
 def _below(x):
@@ -424,10 +421,9 @@ def _bar_table(n: int, width: int) -> dict:
                         g = local(xe[k - 1], xe[k], dp, dk)
                         if k == n - 1:
                             g = g * local(xe[k], 0, dk, 0)
-                        g = factors[key] = g and _pack(g._terms, width,
-                                                       ("W factor", n, key))
-                    if g:
-                        grown.append((y + (yk,), dk, _mul(prefix, g)))
+                        g = factors[key] = _pack(g._terms, width,
+                                                 ("W factor", n, key))
+                    grown.append((y + (yk,), dk, _mul(prefix, g)))
             prefixes = grown
         for y, _, (value, lo, hi, norm) in prefixes:
             label = ("W", n, (x, y))
@@ -470,16 +466,12 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
     docstring)."""
 
     def box_solve(x, y, w_y, bars, width, interned):
-        pairs = [(w_y[x], _UNIT)] if x in w_y else []
+        pairs = [(w_y[x], _UNIT)]
         # bars holds neither x nor the unsolved y: the box ends drop out
         for m in _between(y, x):
             hit = bars.get(m)
             if hit is not None:
-                wmy = w_y.get(m)
-                if wmy is not None:
-                    pairs.append((hit[1], wmy))
-        if not pairs:
-            return None
+                pairs.append((hit[1], w_y[m]))
         label = ("Z", n, (x, y))
         lo, slots = _dot(pairs, width, label)
         # the rhs must be bar-antisymmetric: zero outside the exponent
@@ -548,8 +540,8 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
                     key = min(key, (key[1], key[0], key[2][::-1],
                                     key[3][::-1]))
                     if key not in memo:
-                        memo[key] = box_solve(x, y, w_to.get(y, {}), bars,
-                                              width, interned)
+                        memo[key] = box_solve(x, y, w_to[y], bars, width,
+                                              interned)
                     hit = memo[key]
                 if hit is not None:
                     table[y][x] = table[y[::-1]][rx] = hit[0]
@@ -579,9 +571,9 @@ def canonical_transition_matrix(n: int) -> Mapping:
 
 def _packed_pbw(n: int, y, width: int, factors: dict):
     """pbw_coeff(n, y) packed as the product of its packed q-binomial
-    factors, memoized in factors by (top, bottom) at this width; None if it
-    is zero.  The factors have nonnegative coefficients, so the product of
-    their norms is the norm of the product."""
+    factors, memoized in factors by (top, bottom) at this width.  The
+    factors have nonnegative coefficients, so the product of their norms is
+    the norm of the product."""
     ye = padded(n, y)
     e = -sum((k - y[k - 1]) * (n - k - y[k - 1]) for k in range(1, n))
     packed = (1, e, e, 1)
@@ -589,11 +581,8 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
         key = (n + 1 - ye[k - 1] - ye[k], k - ye[k])
         f = factors.get(key)
         if f is None:
-            b = qbinom(*key)
-            f = factors[key] = b and _pack(b._terms, width,
-                                           ("pbw factor", n, key))
-        if not f:
-            return None
+            f = factors[key] = _pack(qbinom(*key)._terms, width,
+                                     ("pbw factor", n, key))
         packed = _mul(packed, f)
     return packed
 
@@ -615,15 +604,12 @@ def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
                     minus_mu[y] = minus_mu[ry]
                 continue
             label = ("mu", n, y)
-            pbw = _packed_pbw(n, y, width, factors)
-            pairs = [(pbw, _UNIT)] if pbw else []
+            pairs = [(_packed_pbw(n, y, width, factors), _UNIT)]
             # minus_mu does not hold y yet, so the term x = y drops out
             for x, z in z_to[y].items():
                 mu_x = minus_mu.get(x)
                 if mu_x is not None:
                     pairs.append((mu_x, z))
-            if not pairs:
-                continue
             lo, slots = _dot(pairs, width, label)
             acc = _terms(lo, slots)
             if acc:

@@ -35,7 +35,8 @@ class LaurentPoly:
             for e, c in items:
                 if not isinstance(e, int):
                     raise TypeError(f"exponent must be int, got {e!r}")
-                c = int(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient must be int, got {c!r}")
                 if c:
                     nc = data.get(e, 0) + c
                     if nc:

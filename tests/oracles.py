@@ -5,7 +5,9 @@
   ``bar_transition_coeff``, the triangular solve for Z, and the
   back-substitution for mu.  Every product is a dict-of-terms convolution,
   so they are independent of the packed-integer kernel in
-  ``lindeg.expansion``; the tests compare the two for every n <= 6.
+  ``lindeg.expansion``; the tests compare the two for every n <= 6.  They
+  walk boxes and orders with the oracles' own ``below``, ``between`` and
+  ``descending``, not the engine's.
 * The general two-row PBW expansion ``two_row_pbw_expansion``, built on
   the rank-2 identity ``rank2_straighten``; at the rows of
   ``staircase_exponents`` it gives the closed form ``pbw_coeff`` of
@@ -47,14 +49,23 @@ from lindeg.combinatorics import (
     upper_bounds,
 )
 from lindeg.duality import monotone_maps
-from lindeg.expansion import (
-    _below,
-    _between,
-    _descending,
-    bar_transition_coeff,
-    pbw_coeff,
-)
+from lindeg.expansion import bar_transition_coeff, pbw_coeff
 from lindeg.laurent import ONE, ZERO, qbinom, v_power
+
+
+def below(x):
+    """All tuples 0 <= m <= x componentwise, lexicographic."""
+    return itertools.product(*[range(c + 1) for c in x])
+
+
+def between(y, x):
+    """All tuples y <= m <= x componentwise, lexicographic."""
+    return itertools.product(*[range(a, b + 1) for a, b in zip(y, x)])
+
+
+def descending(keys):
+    """Descending coordinate sum, ties in ascending lexicographic order."""
+    return sorted(keys, key=lambda t: (-sum(t), t))
 
 
 @lru_cache(maxsize=None)
@@ -63,7 +74,7 @@ def bar_transition_matrix(n: int) -> dict:
     the parameter set, one closed-form evaluation per entry."""
     out = {}
     for x in ptuples(n):
-        for y in _below(x):
+        for y in below(x):
             w = bar_transition_coeff(n, x, y)
             if w:
                 out[(x, y)] = w
@@ -88,10 +99,10 @@ def canonical_transition_matrix(n: int) -> dict:
     for x in ptuples(n):
         out[(x, x)] = ONE
         bars = {}  # bar images of the entries solved so far in this column
-        targets = [y for y in _below(x) if y != x]
-        for y in _descending(targets):
+        targets = [y for y in below(x) if y != x]
+        for y in descending(targets):
             rhs = w.get((x, y), ZERO)
-            for m in _between(y, x):
+            for m in between(y, x):
                 if m == x or m == y:
                     continue
                 zbar = bars.get(m)
@@ -123,9 +134,9 @@ def canonical_coeffs(n: int) -> dict:
     zeta = canonical_transition_matrix(n)
     bounds = upper_bounds(n)
     out = {}
-    for y in _descending(ptuples(n)):
+    for y in descending(ptuples(n)):
         acc = pbw_coeff(n, y)
-        for x in _between(y, bounds):
+        for x in between(y, bounds):
             if x == y:
                 continue
             mu_x = out.get(x)

@@ -267,6 +267,15 @@ def broken_solver(monkeypatch):
     monkeypatch.setattr(supports, "canonical_coeffs", broken)
 
 
+def no_expansion(monkeypatch):
+    from lindeg import supports
+
+    def refuse(n):
+        raise AssertionError(f"the expansion ran at n={n}")
+
+    monkeypatch.setattr(supports, "canonical_coeffs", refuse)
+
+
 #: (argv, patch, exit code, stdout, stderr) of every error and warning path
 ERROR_PATHS = [
     ([], None, 2, "", USAGE),
@@ -297,8 +306,11 @@ ERROR_PATHS = [
      "expansion n=2: 2 terms\n"
      "y=(1)  segments=[1,1=2;1,2=1;2,2=2]  rank=(2)  coeff=1\n"
      "y=(0)  segments=[1,1=3;2,2=3]  rank=(3)  coeff=[3]!\n",
+     EXPANSION_CAP_WARNING + ": W and Z at n=2 have up to 3 entries each\n"),
+    (["verify", "10", "--max-n", "9"], no_expansion, 2, "",
      EXPANSION_CAP_WARNING
-     + ": the Z solve at n=2 takes at most 0 Laurent products\n"),
+     + ": W and Z at n=10 have up to 153,090,000 entries each\n"
+     "error: n=10 exceeds the size cap 9; pass --max-n 10 to override\n"),
     (["verify", "0", "--max-n", "9"], None, 2, "",
      EXPANSION_CAP_WARNING + "\nerror: n must be at least 1\n"),
     (["dual", "1,1=1", "--max-n", "9"], None, 0,
@@ -416,8 +428,8 @@ def test_max_n_warning_states_solve_cost(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "8", "--max-n", "9")
     assert code == 0
     assert err == ("warning: size cap raised to 9; expansion cost grows "
-                   "rapidly with n: the Z solve at n=8 takes at most "
-                   "21,430,880 Laurent products\n")
+                   "rapidly with n: W and Z at n=8 have up to 486,000 "
+                   "entries each\n")
 
 
 def test_asymptotics_has_no_size_cap_option(capsys):

@@ -6,6 +6,8 @@ from operator import sub
 import oracles
 import pytest
 from oracles import (
+    below,
+    between,
     pbw_coeff_degree,
     pbw_coeff_degree_gap,
     rank2_straighten,
@@ -27,7 +29,6 @@ from lindeg.expansion import (
     canonical_coeffs,
     canonical_transition_matrix,
     pbw_coeff,
-    solve_products,
 )
 from lindeg.laurent import ONE, ZERO, LaurentPoly, qbinom, qfact, qint, v_power
 
@@ -87,17 +88,12 @@ def test_bar_matrix_involutive():
                 if not leq(y, x):
                     continue
                 acc = ZERO
-                for m in w_between(y, x):
+                for m in between(y, x):
                     wxm = w.get((x, m))
                     wmy = w.get((m, y))
                     if wxm is not None and wmy is not None:
                         acc = acc + wxm.bar() * wmy
                 assert acc == (ONE if x == y else ZERO), (n, x, y)
-
-
-def w_between(y, x):
-    import itertools
-    return itertools.product(*[range(a, b + 1) for a, b in zip(y, x)])
 
 
 def test_canonical_transition_diagonal_and_negativity():
@@ -123,20 +119,15 @@ def test_bar_invariance_identity():
         w = bar_transition_matrix(n)
         z = canonical_transition_matrix(n)
         for x in ptuples(n):
-            for s in w_below(x):
+            for s in below(x):
                 lhs = z.get((x, s), ZERO)
                 acc = ZERO
-                for m in w_between(s, x):
+                for m in between(s, x):
                     zxm = z.get((x, m))
                     wms = w.get((m, s))
                     if zxm is not None and wms is not None:
                         acc = acc + zxm.bar() * wms
                 assert lhs == acc, (n, x, s)
-
-
-def w_below(x):
-    import itertools
-    return itertools.product(*[range(c + 1) for c in x])
 
 
 W_LABEL = ("W", 2, ((1,), (0,)))
@@ -216,7 +207,7 @@ def test_reconstruction():
         bounds = upper_bounds(n)
         for y in ptuples(n):
             acc = ZERO
-            for x in w_between(y, bounds):
+            for x in between(y, bounds):
                 mx = mu.get(x)
                 zxy = z.get((x, y))
                 if mx is not None and zxy is not None:
@@ -336,19 +327,36 @@ def test_cached_results_read_only():
         assert key in cached(2)
 
 
-def test_solve_products_closed_form():
+def test_pairs_closed_form():
+    # W is nonzero on every comparable pair, so the closed form counts it
     for n in range(1, 7):
-        pset = ptuples(n)
-        count = 0
-        for x in pset:
-            for y in w_below(x):
-                if y != x:
-                    box = 1
-                    for a, b in zip(y, x):
-                        box *= b - a + 1
-                    count += box - 2
-        assert solve_products(n) == count, n
-    assert solve_products(8) == 21_430_880
+        assert expansion._pairs(n) == len(bar_transition_matrix(n)), n
+        assert expansion._pairs(n) == sum(
+            1 for x in ptuples(n) for _ in below(x)), n
+    assert expansion._pairs(8) == 486_000
+    assert expansion._pairs(9) == 7_290_000
+
+
+def test_no_zero_factor_bounds():
+    # the two inequalities of the module docstring's proof, on every
+    # adjacent pair of upper bounds, padded with 0 at both ends
+    for n in range(1, 31):
+        b = padded(n, upper_bounds(n))
+        for k in range(1, n + 1):
+            assert n + 1 - b[k - 1] - b[k] >= 2, (n, k)  # a_k of W
+            assert b[k] <= k and b[k - 1] <= n + 1 - k, (n, k)  # pbw
+
+
+def test_closed_forms_refuse_tuples_outside_the_parameter_set():
+    for bad in [(-1, 0), (2, 0), (0, 2), (1,), (1, 1, 1), (0.0, 0)]:
+        with pytest.raises(ValueError, match="not a parameter tuple"):
+            pbw_coeff(3, bad)
+        with pytest.raises(ValueError, match="not a parameter tuple"):
+            bar_transition_coeff(3, (1, 1), bad)
+        with pytest.raises(ValueError, match="not a parameter tuple"):
+            bar_transition_coeff(3, bad, (0, 0))
+    with pytest.raises(ValueError, match="not a parameter tuple"):
+        bar_transition_coeff(3, (3, 1), (1, 1))
 
 
 # -- locality of Z: run factors and local keys --------------------------------
@@ -376,7 +384,7 @@ def local_key(x, y):
 
 def comparable_pairs(n):
     for x in ptuples(n):
-        for y in w_below(x):
+        for y in below(x):
             if y != x:
                 yield x, y
 
@@ -593,9 +601,6 @@ def test_packed_pbw_factors_decode_to_pbw_coeff():
         for y in ptuples(n):
             packed = expansion._packed_pbw(n, y, 64, factors)
             want = pbw_coeff(n, y)
-            if packed is None:
-                assert not want, (n, y)
-                continue
             value, lo, hi, _ = packed
             slots = expansion._decode(value, lo, hi, 64, LABEL)
             assert LaurentPoly(expansion._terms(lo, slots)) == want, (n, y)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -199,6 +200,18 @@ def test_int_interop_and_hash():
     assert hash(LaurentPoly({0: 9})) == hash(9)
     assert 1 - qint(2) * 0 == ONE
     assert (2 * V) * 3 == LaurentPoly({1: 6})
+
+
+def test_coefficients_must_be_ints():
+    # refused, not truncated or parsed: int() reads 2.7 as 2 and 0.5 as 0
+    for c in (2.7, 0.5, Fraction(3, 2), "5", None):
+        with pytest.raises(TypeError, match="coefficient must be int"):
+            LaurentPoly({0: c})
+        with pytest.raises(TypeError, match="coefficient must be int"):
+            LaurentPoly([(1, c)])
+    # from_pairs parses its decimal strings explicitly
+    assert LaurentPoly.from_pairs([[0, "5"], [2, "-3"]]) == LaurentPoly(
+        {0: 5, 2: -3})
 
 
 def test_power():
