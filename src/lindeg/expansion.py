@@ -89,8 +89,32 @@ No zero factors on P(n).  There a_k = n + 1 - x_{k-1} - x_k >= 2, and d >= 0
 on a pair y <= x, so every g_k (the folded g_n too) is a product of nonzero
 terms: q-binomials [N choose K] with 0 <= K <= N, [d]! and powers of v and of
 v^-1 - v.  And y_k <= k, y_{k-1} <= n + 1 - k make every factor of pbw_coeff
-such a q-binomial.  So W has all ``_pairs(n)`` entries; mu(y) = 0 occurs, and
-Z is full only as far as observed (n <= 8), so both keep their zero tests.
+such a q-binomial.  So W has all ``_pairs(n)`` entries; mu(y) = 0 occurs, so
+mu keeps its zero test.
+
+Z is full too, and every sum starts at its first pair.  Each factor above
+starts with coefficient 1: [N choose K] at v^(-K (N - K)), [d]! at
+v^(-d (d - 1) / 2), (v^-1 - v)^d at v^-d.  So W(x, y) starts with 1 v^L(x, y),
+where L(x, y) = -sum_k d_k^2 - sum_k (d_k d_{k-1} + a_k (d_k + d_{k-1})) is
+<= -1 for y < x.  With e = x - m for y <= m <= x, and a_k taken from x,
+L(m, y) - L(x, y) = sum e_k^2 + sum e_k e_{k-1} + sum a_k (e_k + e_{k-1}),
+which is -L(x, m) >= 0: L(x, y) = L(x, m) + L(m, y).  (Expanded, L(x, y) =
+psi(x) - psi(y) with psi(t) = sum t_k^2 + sum t_k t_{k-1} - 2 (n + 1) sum t_k.)
+
+* Z.  In the box sum for Z(x, y), bar Z(x, m) has exponents >= 1 for
+  y <= m < x, so the lowest exponent of bar Z(x, m) W(m, y) is above
+  L(m, y) >= L(x, y).  The right-hand side therefore starts with
+  1 v^L(x, y), and L <= -1 puts that term into Z(x, y).  So Z has all
+  ``_pairs(n)`` entries, each starts with 1 v^L(x, y), and each box sum
+  starts at its first pair W(x, y) 1.
+* mu.  Packed -mu(x) starts where its sum does, at pbw(x)'s lowest
+  exponent lo pbw(x), so its product with Z(x, y) starts at
+  lo pbw(x) + L(x, y).  pbw(t) = sum over s >= t of mu(s) Z(s, t) is a sum
+  of terms with nonnegative coefficients (Lusztig's positivity: mu in
+  N[v, v^-1], Z in N[v^-1]), so lo pbw(t) is the least lo mu(s) + L(s, t)
+  over s >= t with mu(s) != 0.  With L(s, x) + L(x, y) = L(s, y) this
+  gives lo pbw(x) + L(x, y) >= lo pbw(y): no product in the sum for mu(y)
+  starts below its first pair, pbw(y) 1.
 """
 
 from __future__ import annotations
@@ -144,9 +168,8 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     if x == y:
         return ONE
     xe = padded(n, x)
-    de = tuple(a - b for a, b in zip(padded(n, x), padded(n, y)))
+    de = tuple(a - b for a, b in zip(xe, padded(n, y)))
     twice_exp = sum(d * (d - 1) for d in de)
-    assert twice_exp % 2 == 0
     coeff = v_power(-twice_exp // 2) * _VINV_MINUS_V ** sum(de)
     for d in de[1:n]:
         coeff = coeff * qfact(d)
@@ -302,8 +325,9 @@ def _terms(lo: int, slots) -> dict:
 def _dot(pairs: list, width: int, label) -> tuple:
     """(lo, slots) of the sum of a * b over nonempty packed pairs (a, b).
 
-    One pass: the sum is kept relative to the lowest exponent seen so far
-    and shifted up whenever a product starts lower."""
+    One pass, relative to the first pair's lowest exponent: in every sum the
+    stages form no product starts lower (module docstring), and one that
+    does is refused."""
     first_a, first_b = pairs[0]
     lo = first_a[1] + first_b[1]
     hi = first_a[2] + first_b[2]
@@ -314,9 +338,8 @@ def _dot(pairs: list, width: int, label) -> tuple:
         if step & 1:
             raise ArithmeticError(f"{_where(label)} mixes parity classes")
         if step < 0:
-            total <<= width * (-step >> 1)
-            lo += step
-            step = 0
+            raise ArithmeticError(f"{_where(label)} has a product below "
+                                  "its first pair")
         total += a[0] * b[0] << width * (step >> 1)
         if a[2] + b[2] > hi:
             hi = a[2] + b[2]
@@ -370,11 +393,9 @@ class _PackedView(Mapping):
         return entry
 
     def __iter__(self):
-        table = self._table
         for x in ptuples(self._n):
             for y in self._targets(x):
-                if x in table[y]:
-                    yield x, y
+                yield x, y
 
     def __len__(self) -> int:
         return sum(map(len, self._table.values()))
@@ -474,35 +495,30 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
                 pairs.append((hit[1], w_y[m]))
         label = ("Z", n, (x, y))
         lo, slots = _dot(pairs, width, label)
-        # the rhs must be bar-antisymmetric: zero outside the exponent
-        # window [-h, h] that is its own mirror image, and equal on it to
-        # its negated reversal, which forces a zero constant term
+        # the rhs must start with 1 v^lo (module docstring) and be
+        # bar-antisymmetric: zero outside the exponent window [-h, h] that
+        # is its own mirror image, and equal on it to its negated reversal,
+        # which forces a zero constant term
         # the middle exponent (lo + hi) / 2 of the slots is also how many
         # of them lie outside the window: below it if negative, else above
         middle = lo + len(slots) - 1
         start, stop = max(-middle, 0), len(slots) - max(middle, 0)
         window = slots[start:stop]
-        if (any(slots[:start]) or any(slots[stop:])
+        if (slots[0] != 1 or any(slots[:start]) or any(slots[stop:])
                 or list(map(neg, reversed(window))) != list(window)):
             raise ArithmeticError(
                 f"bar-antisymmetry failed solving entry ({x}, {y}) at "
                 f"n={n}: rhs = {_raw(_terms(lo, slots))}")
-        # z is the part of the rhs below v^0, trimmed to its tight ends, so
-        # that z and bar(z) are packed tight and so are the products of such
-        below = window[:len(window) // 2]
-        first, end = 0, len(below)
-        while end and not below[end - 1]:
-            end -= 1
-        if not end:
-            return None
-        while not below[first]:
-            first += 1
-        zlo = lo + 2 * (start + first)
-        zslots = below[first:end]
-        zbar = _pack_slots(zslots[::-1], -zlo - 2 * (end - first - 1),
+        # z is the part of the rhs below v^0: it starts at the rhs's first
+        # slot, so start = 0, and is trimmed at its top end, so that z and
+        # bar(z) are packed tight and so are the products of such
+        zslots = window[:len(window) // 2]
+        while not zslots[-1]:
+            del zslots[-1]
+        zbar = _pack_slots(zslots[::-1], -lo - 2 * (len(zslots) - 1),
                            width, label)
         return interned.setdefault(
-            zbar[:2], (_pack_slots(zslots, zlo, width, label), zbar))
+            zbar[:2], (_pack_slots(zslots, lo, width, label), zbar))
 
     def product(x, y, runs, bars, width, interned):
         # Z(x, y) and its bar image are the products of the run factors'
@@ -511,17 +527,14 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
         # positivity), so the norm of a product is the product of the norms
         z = zbar = _UNIT
         for i, j in runs:
-            f = bars.get(x[:i] + y[i:j] + x[j:])
-            if f is None:
-                return None
+            f = bars[x[:i] + y[i:j] + x[j:]]
             z, zbar = _mul(z, f[0]), _mul(zbar, f[1])
         _check_bound(z[3], width, ("Z", n, (x, y)))
         return interned.setdefault(zbar[:2], (z, zbar))
 
     def attempt(width):
         w_to, table = w._take(width), {y: {} for y in ptuples(n)}
-        # (packed z, packed bar(z)) by the packed bar image, and by local
-        # key; a local key of a zero entry maps to None
+        # (packed z, packed bar(z)) by the packed bar image, and by local key
         interned, memo = {}, {}
         for x in ptuples(n):
             rx = x[::-1]
@@ -543,9 +556,8 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
                         memo[key] = box_solve(x, y, w_to[y], bars, width,
                                               interned)
                     hit = memo[key]
-                if hit is not None:
-                    table[y][x] = table[y[::-1]][rx] = hit[0]
-                    bars[y] = hit
+                table[y][x] = table[y[::-1]][rx] = hit[0]
+                bars[y] = hit
         return table
 
     return _PackedView("Z", n, lambda x: _descending(_below(x)), attempt,
@@ -560,11 +572,12 @@ def canonical_transition_matrix(n: int) -> Mapping:
     inside v^-1 Z[v^-1], i.e. z is the negative-exponent part of the right
     hand side; entries are solved for targets of descending coordinate sum
     so the needed intermediate entries always exist already.  A right-hand
-    side with a constant term, or one that is not bar-antisymmetric, means
-    the bar-transition closed form is broken, and raises ArithmeticError.
-    W is read through the name bar_transition_matrix.  Absent keys are
-    zero.  Each call solves Z anew from a W of its own, whose table it
-    takes, and returns a read-only view that owns its table.
+    side that does not start with coefficient 1, has a constant term or is
+    not bar-antisymmetric means the bar-transition closed form is broken,
+    and raises ArithmeticError.  W is read through the name
+    bar_transition_matrix.  Every pair y <= x has a nonzero entry (module
+    docstring).  Each call solves Z anew from a W of its own, whose table
+    it takes, and returns a read-only view that owns its table.
     """
     return _canonical_matrix(n, bar_transition_matrix(n))
 
@@ -590,7 +603,7 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
 def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
     """mu on the packed kernel, one coefficient at a time; it takes the
     table of the Z view zeta.  mu(y) sums over Z's row for y, which holds
-    exactly the nonzero Z(x, y); the sum is exact, so the order of its
+    every Z(x, y); the sum starts with pbw(y), and the order of the other
     terms does not matter.  Mirrored coefficients are copied."""
 
     def attempt(width):

@@ -33,7 +33,7 @@ class LaurentPoly:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for e, c in items:
-                if not isinstance(e, int):
+                if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError(f"exponent must be int, got {e!r}")
                 if not isinstance(c, int):
                     raise TypeError(f"coefficient must be int, got {c!r}")

@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 
@@ -330,6 +331,24 @@ def test_rank_tuple_validation():
         Multisegment(2, {(2, 1): 1})
     with pytest.raises(ValueError):
         Multisegment(2, {(1, 2): -1})
+
+
+def test_public_refusals():
+    with pytest.raises(ValueError,
+                       match="^n must be a positive integer, got 0$"):
+        ptuples(0)
+    for count in (motzkin_number, bell_number):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            count(-1)
+    with pytest.raises(ValueError, match=re.escape(
+            "entry (1, 2) must be a nonnegative integer, got -1")):
+        RankTuple(2, {(1, 1): 1, (1, 2): -1, (2, 2): 1})
+    with pytest.raises(ValueError, match=re.escape(
+            "expected a tuple of length 2, got (1,)")):
+        path_to_multisegment(3, (1,))
+    with pytest.raises(ValueError,
+                       match=re.escape("negative entry in (-1, 0)")):
+        path_to_multisegment(3, (-1, 0))
 
 
 def _check_against_entries(rt, entries):

@@ -3,6 +3,7 @@ the minimum over monotone maps by enumeration and by min-plus recursion."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -271,6 +272,15 @@ def test_reversal_matches_hat():
         for x in ptuples(n):
             rev = tuple(reversed(x))
             assert dual_rank_tuple(n, rev) == dual_rank_tuple(n, x).hat()
+
+
+def test_closed_forms_refuse_tuples_outside_the_parameter_set():
+    for bad in [(2, 0), (-1, 0), (1,), (1, 1, 1)]:
+        message = re.escape(f"{bad!r} is not a parameter tuple for n=3")
+        with pytest.raises(ValueError, match=message):
+            dual_rank_tuple(3, bad)
+        with pytest.raises(ValueError, match=message):
+            next_neighbor_rank(3, bad, 1)
 
 
 def test_errors():

@@ -155,6 +155,18 @@ def test_solver_rejects_rhs_beyond_its_mirror(broken):
         expansion._canonical_matrix(2, w)
 
 
+@pytest.mark.parametrize("broken", [2 * VINV_MINUS_V, -VINV_MINUS_V, ZERO])
+def test_solver_rejects_rhs_not_starting_with_one(broken):
+    # bar-antisymmetric, but its lowest slot is not 1; the zero rhs is
+    # packed on the slots of v^-1 and v, as a sum whose terms cancel
+    w = bar_transition_matrix(2)
+    w._table[(0,)][(1,)] = (
+        expansion._pack(broken._terms, w._width, W_LABEL) if broken
+        else (0, -1, 1, 0))
+    with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
+        expansion._canonical_matrix(2, w)
+
+
 def test_canonical_coeffs_n2():
     mu = canonical_coeffs(2)
     assert mu == {(1,): ONE, (0,): qfact(3)}
@@ -335,6 +347,56 @@ def test_pairs_closed_form():
             1 for x in ptuples(n) for _ in below(x)), n
     assert expansion._pairs(8) == 486_000
     assert expansion._pairs(9) == 7_290_000
+
+
+def lowest_exponent(n, x, y):
+    """L(x, y) of the module docstring: W(x, y) starts with 1 v^L(x, y)."""
+    xe = padded(n, x)
+    d = tuple(map(sub, xe, padded(n, y)))
+    return -sum(dk * dk for dk in d) - sum(
+        d[k] * d[k - 1] + (n + 1 - xe[k - 1] - xe[k]) * (d[k] + d[k - 1])
+        for k in range(1, n + 1))
+
+
+def test_w_and_z_start_with_their_lowest_term():
+    for n in range(1, 7):
+        for stage in (bar_transition_matrix, canonical_transition_matrix):
+            for (x, y), entry in stage(n).items():
+                lo = min(entry._terms)
+                assert lo == lowest_exponent(n, x, y), (n, x, y)
+                assert entry.coefficient(lo) == 1, (n, x, y)
+                assert lo <= -1 or x == y, (n, x, y)
+
+
+def test_lowest_exponent_is_additive():
+    # with e = x - m and a_k from x, on every y <= m <= x:
+    # L(m, y) - L(x, y) = sum e_k^2 + sum e_k e_{k-1} + sum a_k (e_k +
+    # e_{k-1}) = -L(x, m), and L(x, y) = psi(x) - psi(y)
+    for n in range(1, 7):
+        def psi(t):
+            te = padded(n, t)
+            return sum(c * c + c * p - 2 * (n + 1) * c
+                       for c, p in zip(te[1:], te))
+
+        for x in ptuples(n):
+            xe = padded(n, x)
+            for m in below(x):
+                e = tuple(map(sub, xe, padded(n, m)))
+                gap = sum(ek * ek for ek in e) + sum(
+                    e[k] * e[k - 1]
+                    + (n + 1 - xe[k - 1] - xe[k]) * (e[k] + e[k - 1])
+                    for k in range(1, n + 1))
+                assert gap == -lowest_exponent(n, x, m) >= 0, (n, x, m)
+                assert gap == psi(m) - psi(x), (n, x, m)
+                for y in below(m):
+                    assert (lowest_exponent(n, m, y)
+                            - lowest_exponent(n, x, y)) == gap, (n, x, m, y)
+
+
+def test_z_is_full():
+    for n in range(1, 7):
+        z = canonical_transition_matrix(n)
+        assert len(z) == len(list(z)) == expansion._pairs(n), n
 
 
 def test_no_zero_factor_bounds():
@@ -686,6 +748,17 @@ def test_kernel_refuses_near_limit_slot():
                                   LABEL)) == [3, -limit]
     assert list(expansion._decode(((limit - 1) << 64) - 3, 0, 2, 64,
                                   LABEL)) == [-3, limit - 1]
+
+
+def test_kernel_refuses_a_product_below_its_first_pair():
+    low, high = pack({-2: 1}), pack({0: 1, 2: 3})
+    with pytest.raises(ArithmeticError,
+                       match="Z entry .* has a product below its first pair"):
+        expansion._dot([(high, expansion._UNIT), (low, expansion._UNIT)],
+                       64, LABEL)
+    lo, slots = expansion._dot([(low, expansion._UNIT),
+                                (high, expansion._UNIT)], 64, LABEL)
+    assert expansion._terms(lo, slots) == {-2: 1, 0: 1, 2: 3}
 
 
 def test_kernel_refuses_mixed_parity():

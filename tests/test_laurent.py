@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -212,6 +213,47 @@ def test_coefficients_must_be_ints():
     # from_pairs parses its decimal strings explicitly
     assert LaurentPoly.from_pairs([[0, "5"], [2, "-3"]]) == LaurentPoly(
         {0: 5, 2: -3})
+
+
+def test_exponents_must_be_ints():
+    # isinstance(True, int) holds, but a bool would be stored as its key
+    for e in (True, False, 0.5, "1", None):
+        message = re.escape(f"exponent must be int, got {e!r}")
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly({e: 1})
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly([(e, 1)])
+    # from_pairs parses its exponents explicitly
+    assert LaurentPoly.from_pairs([["-2", "3"]]) == LaurentPoly({-2: 3})
+
+
+def test_terms_that_cancel_leave_no_key():
+    assert LaurentPoly([(1, 2), (-1, 1), (1, -2)])._terms == {-1: 1}
+    assert LaurentPoly([(3, 1), (3, -1), (0, 0)])._terms == {}
+
+
+def test_hash_matches_equality():
+    assert hash(ZERO) == hash(LaurentPoly({2: 0})) == hash(0)
+    built = LaurentPoly({1: 1, -1: 2})
+    assert built == V + 2 * VINV and hash(built) == hash(V + 2 * VINV)
+
+
+def test_quantum_symbols_refuse_negative_arguments():
+    with pytest.raises(ValueError,
+                       match="^quantum integers are defined for k >= 0$"):
+        qint(-1)
+    with pytest.raises(ValueError,
+                       match="^quantum factorials are defined for k >= 0$"):
+        qfact(-1)
+
+
+def test_exact_div_refusals():
+    # a dividend with fewer slots than the divisor, and a leading
+    # coefficient that the divisor's does not divide
+    for a, b in [(V, qint(3)), (LaurentPoly({1: 3}), LaurentPoly({0: 2}))]:
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{b!r} does not divide {a!r}")):
+            a.exact_div(b)
 
 
 def test_power():
