@@ -48,7 +48,7 @@ from .duality import (
     dual_rank_tuple_near_simple,
 )
 from .expansion import _pairs, canonical_coeffs
-from .laurent import LaurentPoly, qbinom, qfact, qint
+from .laurent import LaurentPoly, qbinom, qint
 from .supports import (
     all_checks_pass,
     asymptotics_report,
@@ -97,15 +97,12 @@ def quantum_label(p: LaurentPoly) -> str:
     deg = p.degree()
     if deg <= 0:
         return str(p)
-    # quantum factorial: the degree determines the only candidate
-    k = 2
-    while k * (k - 1) // 2 < deg:
-        k += 1
-    if k * (k - 1) // 2 == deg and p == qfact(k):
-        return f"[{k}]!"
     # complete product of quantum integers, largest factors first; a
     # division by [k] is tried only where the values at v = 1 and v = 2
-    # allow it (see _value_at_two)
+    # allow it (see _value_at_two).  [j] is a unit times the Phi_d(v) with
+    # d | 2j, d > 2, and Phi_2j divides [i] only when j | i, so the pass
+    # divides [k]! = [k][k-1]...[2] by each of its factors once: a run
+    # k, k-1, ..., 2 is printed [k]!
     work = p
     at_one, at_two = p.at_one(), _value_at_two(p)
     factors = []
@@ -120,6 +117,8 @@ def quantum_label(p: LaurentPoly) -> str:
             at_two //= qint_at_two
             factors.append(k)
             if work == 1:
+                if factors == list(range(factors[0], 1, -1)):
+                    return f"[{factors[0]}]!"
                 return "".join(f"[{f}]" for f in factors)
     # single quantum binomial
     for a in range(2, deg + 2):

@@ -29,8 +29,14 @@ from types import MappingProxyType
 # parameter tuples and Motzkin paths
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, which would pass for 0 or 1 and print as
+    False or True."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
 
 
@@ -152,10 +158,9 @@ class Multisegment:
         if mult:
             items = mult.items() if hasattr(mult, "items") else mult
             for (i, j), m in items:
-                if not (isinstance(i, int) and isinstance(j, int)
-                        and 1 <= i <= j <= n):
+                if not (_is_int(i) and _is_int(j) and 1 <= i <= j <= n):
                     raise ValueError(f"invalid interval ({i}, {j}) for n={n}")
-                if not isinstance(m, int) or m < 0:
+                if not _is_int(m) or m < 0:
                     raise ValueError(f"multiplicity of ({i}, {j}) must be a "
                                      f"nonnegative integer, got {m!r}")
                 if m:
@@ -222,7 +227,7 @@ class RankTuple:
                 val = r[key]
             except KeyError:
                 raise ValueError(f"missing entry {key} for n={n}")
-            if not isinstance(val, int) or val < 0:
+            if not _is_int(val) or val < 0:
                 raise ValueError(f"entry {key} must be a nonnegative "
                                  f"integer, got {val!r}")
             values.append(val)

@@ -289,11 +289,6 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0], a[1] + b[1], a[2] + b[2], a[3] * b[3]
 
 
-def _neg(packed: tuple) -> tuple:
-    value, lo, hi, norm = packed
-    return -value, lo, hi, norm
-
-
 def _decode(value: int, lo: int, hi: int, width: int, label):
     """The signed slots of a packed value on the lattice lo, lo + 2, ...,
     hi.  A slot within 2 bits of the limit is refused: one whose
@@ -495,23 +490,22 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
                 pairs.append((hit[1], w_y[m]))
         label = ("Z", n, (x, y))
         lo, slots = _dot(pairs, width, label)
-        # the rhs must start with 1 v^lo (module docstring) and be
-        # bar-antisymmetric: zero outside the exponent window [-h, h] that
-        # is its own mirror image, and equal on it to its negated reversal,
-        # which forces a zero constant term
-        # the middle exponent (lo + hi) / 2 of the slots is also how many
-        # of them lie outside the window: below it if negative, else above
-        middle = lo + len(slots) - 1
-        start, stop = max(-middle, 0), len(slots) - max(middle, 0)
-        window = slots[start:stop]
-        if (slots[0] != 1 or any(slots[:start]) or any(slots[stop:])
+        # the rhs starts with 1 v^lo, lo = L(x, y) <= -1 (module docstring),
+        # and a bar-antisymmetric rhs is its own negated mirror image, so it
+        # lies on the 1 - lo slots of the window [lo, -lo] and equals its
+        # negated reversal there, which forces a zero constant term.  A
+        # broken rhs that starts at lo >= 0 is refused on that alone: there
+        # 1 - lo counts no slots, and the slices would cut from the far end
+        window = slots[:1 - lo]
+        if (lo >= 0 or slots[0] != 1 or len(window) < 1 - lo
+                or any(slots[1 - lo:])
                 or list(map(neg, reversed(window))) != list(window)):
             raise ArithmeticError(
                 f"bar-antisymmetry failed solving entry ({x}, {y}) at "
                 f"n={n}: rhs = {_raw(_terms(lo, slots))}")
-        # z is the part of the rhs below v^0: it starts at the rhs's first
-        # slot, so start = 0, and is trimmed at its top end, so that z and
-        # bar(z) are packed tight and so are the products of such
+        # z is the part of the rhs below v^0, the lower half of the window,
+        # trimmed at its top end so that z and bar(z) are packed tight and
+        # so are the products of such
         zslots = window[:len(window) // 2]
         while not zslots[-1]:
             del zslots[-1]
@@ -626,7 +620,8 @@ def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:
             lo, slots = _dot(pairs, width, label)
             acc = _terms(lo, slots)
             if acc:
-                minus_mu[y] = _neg(_pack_slots(slots, lo, width, label))
+                minus_mu[y] = _pack_slots([-c for c in slots], lo, width,
+                                          label)
                 out[y] = _raw(acc)
         return out
 

@@ -14,6 +14,8 @@ share between threads.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from math import prod
 from typing import Iterable, Mapping, Union
 
 #: Degree of the zero polynomial.  float("-inf") so that comparisons and
@@ -35,15 +37,10 @@ class LaurentPoly:
             for e, c in items:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError(f"exponent must be int, got {e!r}")
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficient must be int, got {c!r}")
-                if c:
-                    nc = data.get(e, 0) + c
-                    if nc:
-                        data[e] = nc
-                    else:
-                        del data[e]
-        self._terms = data
+                data[e] = data.get(e, 0) + c
+        self._terms = _nonzero(data)
 
     # -- construction helpers ------------------------------------------------
 
@@ -65,12 +62,8 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self._terms)
         for e, c in other._terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                del out[e]
-        return _raw(out)
+            out[e] = out.get(e, 0) + c
+        return _raw(_nonzero(out))
 
     __radd__ = __add__
 
@@ -100,26 +93,15 @@ class LaurentPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    del out[e]
-        return _raw(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return _raw(_nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return prod(repeat(self, k), start=ONE)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -210,25 +192,28 @@ class LaurentPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        # "+ a - b + c ...", then the leading "+ " dropped or "- " made "-"
         parts = []
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
             if e == 0:
                 body = str(mag)
             else:
                 ve = "v" if e == 1 else f"v^{e}"
                 body = ve if mag == 1 else f"{mag}{ve}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            parts += ["-" if c < 0 else "+", body]
+        text = " ".join(parts)[2:]
+        return "-" + text if parts[0] == "-" else text
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    """The terms with a nonzero coefficient.  The loops of the ring
+    operations only accumulate; this drops the zeros their sums leave."""
+    return {e: c for e, c in terms.items() if c}
 
 
 def _raw(terms: dict[int, int]) -> LaurentPoly:

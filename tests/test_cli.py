@@ -671,6 +671,13 @@ def test_quantum_label():
     assert quantum_label(qint(2) * qint(2)) == "[2][2]"
     assert quantum_label(qbinom(4, 2)) == "[4 choose 2]"
     assert quantum_label(qbinom(6, 3)) == "[6 choose 3]"
+    # [k]! is the run k, k-1, ..., 2 of the quantum-integer pass, and only
+    # a run that ends at 2 is a factorial
+    for k in range(2, 13):
+        assert quantum_label(qfact(k)) == f"[{k}]!"
+    assert quantum_label(qint(2)) == "[2]!"
+    assert quantum_label(qint(5) * qint(4) * qint(3)) == "[5][4][3]"
+    assert quantum_label(qint(4) * qint(3) * qint(2) ** 2) == "[4][3][2][2]"
     # not a quantum symbol: falls back to the expanded rendering
     assert quantum_label(LaurentPoly({1: 1, 0: 1})) == "v + 1"
     assert quantum_label(LaurentPoly({-2: 3})) == "3v^-2"

@@ -351,6 +351,31 @@ def test_public_refusals():
         path_to_multisegment(3, (-1, 0))
 
 
+def test_bools_are_refused():
+    # isinstance(True, int) holds, but a bool would be stored and printed
+    # as True or False, which json.dumps writes as true or false
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=re.escape(
+                f"n must be a positive integer, got {flag!r}")):
+            ptuples(flag)
+        with pytest.raises(ValueError, match=re.escape(
+                f"entry (1, 2) must be a nonnegative integer, got {flag!r}")):
+            RankTuple(2, {(1, 1): 3, (1, 2): flag, (2, 2): 3})
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid interval ({flag!r}, 2) for n=2")):
+            Multisegment(2, {(flag, 2): 1})
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid interval (1, {flag!r}) for n=2")):
+            Multisegment(2, [((1, flag), 1)])
+        with pytest.raises(ValueError, match=re.escape(
+                f"multiplicity of (1, 2) must be a nonnegative integer, "
+                f"got {flag!r}")):
+            Multisegment(2, {(1, 2): flag})
+    assert RankTuple(2, {(1, 1): 3, (1, 2): 1, (2, 2): 3}).to_pairs() == [
+        [1, 1, 3], [1, 2, 1], [2, 2, 3]]
+    assert Multisegment(2, {(1, 2): 1}).to_pairs() == [[1, 2, 1]]
+
+
 def _check_against_entries(rt, entries):
     """Every read of a rank tuple against its definition on the plain dict
     {(i, j): r_ij}, built in any key order."""

@@ -146,11 +146,23 @@ def test_solver_rejects_broken_bar_matrix(monkeypatch):
         expansion.canonical_transition_matrix(2)
 
 
-@pytest.mark.parametrize("broken", [v_power(-3), VINV_MINUS_V + v_power(3)])
+@pytest.mark.parametrize("broken", [v_power(-3), VINV_MINUS_V + v_power(3),
+                                    v_power(1), v_power(2) + v_power(4)])
 def test_solver_rejects_rhs_beyond_its_mirror(broken):
-    # antisymmetric where the rhs overlaps its mirror image, nonzero beyond
+    # antisymmetric where the rhs overlaps its mirror image, nonzero beyond;
+    # or starting at or above v^0, where there is no window [lo, -lo]
     w = bar_transition_matrix(2)
     w._table[(0,)][(1,)] = expansion._pack(broken._terms, w._width, W_LABEL)
+    with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
+        expansion._canonical_matrix(2, w)
+
+
+def test_solver_rejects_rhs_above_v0_with_zero_top_slots():
+    # v^2 - v^6 on the slots of v^2 .. v^8: past the first slot it looks
+    # antisymmetric, and a window read with a negative end would accept it
+    w = bar_transition_matrix(2)
+    w._table[(0,)][(1,)] = expansion._pack_slots([1, 0, -1, 0], 2, w._width,
+                                                 W_LABEL)
     with pytest.raises(ArithmeticError, match="bar-antisymmetry failed"):
         expansion._canonical_matrix(2, w)
 

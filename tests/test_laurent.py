@@ -215,6 +215,16 @@ def test_coefficients_must_be_ints():
         {0: 5, 2: -3})
 
 
+def test_bool_coefficients_are_refused():
+    # isinstance(True, int) holds, but a bool is no coefficient
+    for c in (True, False):
+        message = re.escape(f"coefficient must be int, got {c!r}")
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly({0: c})
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly([(2, 1), (1, c)])
+
+
 def test_exponents_must_be_ints():
     # isinstance(True, int) holds, but a bool would be stored as its key
     for e in (True, False, 0.5, "1", None):
@@ -230,6 +240,9 @@ def test_exponents_must_be_ints():
 def test_terms_that_cancel_leave_no_key():
     assert LaurentPoly([(1, 2), (-1, 1), (1, -2)])._terms == {-1: 1}
     assert LaurentPoly([(3, 1), (3, -1), (0, 0)])._terms == {}
+    # sums and products that cancel
+    assert (V + (-V))._terms == {}
+    assert 0 not in ((V + VINV) * (V - VINV))._terms
 
 
 def test_hash_matches_equality():
@@ -261,6 +274,26 @@ def test_power():
     assert (V + VINV) ** 2 == LaurentPoly({2: 1, 0: 2, -2: 1})
     with pytest.raises(ValueError):
         V ** -1
+
+
+def test_power_agrees_with_evaluation():
+    # evaluation at v = 3/2 is a ring homomorphism, so p^k evaluates to
+    # p(3/2)^k; the explicit cube below pins the coefficients
+    def at(p, v=Fraction(3, 2)):
+        return sum(c * v ** e for e, c in p._terms.items())
+
+    rng = random.Random(11)
+    for _ in range(40):
+        p = random_poly(rng)
+        k = rng.randint(0, 6)
+        assert at(p ** k) == at(p) ** k
+    assert (V - VINV) ** 3 == LaurentPoly({3: 1, 1: -3, -1: 3, -3: -1})
+    assert ZERO ** 0 == ONE and ZERO ** 2 == ZERO
+    for k in (-1, 1.0, "2", None):
+        with pytest.raises(
+                ValueError,
+                match="^only nonnegative integer powers are defined$"):
+            V ** k
 
 
 def test_str_rendering():
