@@ -24,16 +24,12 @@ from functools import lru_cache
 from operator import ge
 from types import MappingProxyType
 
+from .laurent import _is_int
+
 
 # ---------------------------------------------------------------------------
 # parameter tuples and Motzkin paths
 # ---------------------------------------------------------------------------
-
-def _is_int(x) -> bool:
-    """An int that is not a bool, which would pass for 0 or 1 and print as
-    False or True."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
 
 def _check_n(n: int) -> None:
     if not _is_int(n) or n < 1:
@@ -45,22 +41,36 @@ def padded(n: int, x) -> tuple:
     return (0,) + tuple(x) + (0,)
 
 
-def is_motzkin_path(n: int, x) -> bool:
-    _check_n(n)
-    x = tuple(x)
-    if len(x) != n - 1 or any(not isinstance(c, int) or c < 0 for c in x):
-        return False
-    xe = padded(n, x)
-    return all(abs(xe[i] - xe[i - 1]) <= 1 for i in range(1, n + 1))
-
-
 def in_parameter_set(n: int, y) -> bool:
-    _check_n(n)
+    """y has n - 1 int entries with 0 <= y_k <= min(k, n - k)."""
+    bounds, y = upper_bounds(n), tuple(y)
+    return len(y) == len(bounds) and all(
+        _is_int(c) and 0 <= c <= b for c, b in zip(y, bounds))
+
+
+def is_motzkin_path(n: int, x) -> bool:
+    """x lies in P(n) and moves by unit steps between the zero endpoints;
+    every Motzkin path lies in P(n), so this is the whole rule."""
+    x = tuple(x)
+    return in_parameter_set(n, x) and all(
+        abs(b - a) <= 1 for a, b in itertools.pairwise(padded(n, x)))
+
+
+def _parameter_tuple(n: int, y) -> tuple:
+    """y as a tuple when it lies in P(n); ValueError otherwise."""
     y = tuple(y)
-    if len(y) != n - 1:
-        return False
-    return all(isinstance(c, int) and 0 <= c <= min(k, n - k)
-               for k, c in enumerate(y, start=1))
+    if not in_parameter_set(n, y):
+        raise ValueError(f"{y!r} is not a parameter tuple for n={n}")
+    return y
+
+
+def _motzkin_path(n: int, x) -> tuple:
+    """x as a tuple when it is a Motzkin path of length n; ValueError
+    otherwise."""
+    x = tuple(x)
+    if not is_motzkin_path(n, x):
+        raise ValueError(f"{x!r} is not a Motzkin path of length {n}")
+    return x
 
 
 def upper_bounds(n: int) -> tuple:
@@ -87,7 +97,6 @@ def motzkin_paths(n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _ptuples(n: int) -> tuple:
-    _check_n(n)
     ranges = [range(b + 1) for b in upper_bounds(n)]
     return tuple(itertools.product(*ranges))
 
@@ -98,10 +107,11 @@ def ptuples(n: int) -> list:
 
 
 def leq(a, b) -> bool:
-    """Componentwise order on parameter tuples of equal length."""
+    """Componentwise order on int tuples of equal length; ValueError on any
+    other pair."""
     a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("cannot compare tuples of different lengths")
+    if len(a) != len(b) or not all(map(_is_int, a + b)):
+        raise ValueError(f"{a!r} and {b!r} are not int tuples of one length")
     return all(x <= y for x, y in zip(a, b))
 
 
@@ -124,18 +134,23 @@ def _bell_numbers():
         row = list(itertools.accumulate(row, initial=row[-1]))
 
 
-def motzkin_number(n: int) -> int:
-    """The n-th Motzkin number M_n (M_0 = 1)."""
+def _nth(numbers, n: int) -> int:
+    """Entry n of the endless sequence numbers, counted from 0."""
+    if not _is_int(n):
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(itertools.islice(_motzkin_numbers(), n, None))
+    return next(itertools.islice(numbers, n, None))
+
+
+def motzkin_number(n: int) -> int:
+    """The n-th Motzkin number M_n (M_0 = 1)."""
+    return _nth(_motzkin_numbers(), n)
 
 
 def bell_number(n: int) -> int:
     """The n-th Bell number via the Bell triangle (B_0 = 1)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return next(itertools.islice(_bell_numbers(), n, None))
+    return _nth(_bell_numbers(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +170,15 @@ class Multisegment:
     def __init__(self, n: int, mult=None):
         _check_n(n)
         data = {}
-        if mult:
-            items = mult.items() if hasattr(mult, "items") else mult
-            for (i, j), m in items:
-                if not (_is_int(i) and _is_int(j) and 1 <= i <= j <= n):
-                    raise ValueError(f"invalid interval ({i}, {j}) for n={n}")
-                if not _is_int(m) or m < 0:
-                    raise ValueError(f"multiplicity of ({i}, {j}) must be a "
-                                     f"nonnegative integer, got {m!r}")
-                if m:
-                    data[(i, j)] = data.get((i, j), 0) + m
+        items = mult.items() if hasattr(mult, "items") else mult or ()
+        for (i, j), m in items:
+            if not (_is_int(i) and _is_int(j) and 1 <= i <= j <= n):
+                raise ValueError(f"invalid interval ({i}, {j}) for n={n}")
+            if not _is_int(m) or m < 0:
+                raise ValueError(f"multiplicity of ({i}, {j}) must be a "
+                                 f"nonnegative integer, got {m!r}")
+            if m:
+                data[(i, j)] = data.get((i, j), 0) + m
         self.n = n
         self.mult = data
 
@@ -223,10 +237,9 @@ class RankTuple:
         _check_n(n)
         values = []
         for key in _layout(n).keys:
-            try:
-                val = r[key]
-            except KeyError:
+            if key not in r:
                 raise ValueError(f"missing entry {key} for n={n}")
+            val = r[key]
             if not _is_int(val) or val < 0:
                 raise ValueError(f"entry {key} must be a nonnegative "
                                  f"integer, got {val!r}")
@@ -368,17 +381,18 @@ def path_to_multisegment(n: int, x) -> Multisegment:
 
     Length-2 intervals get multiplicity x_k and the single points get
     multiplicity n + 1 - x_l - x_{l-1} (with the implicit zero endpoints).
+    The tuple's length and entries are checked before any arithmetic.
     """
+    _check_n(n)
     x = tuple(x)
     if len(x) != n - 1:
         raise ValueError(f"expected a tuple of length {n - 1}, got {x!r}")
+    if not all(map(_is_int, x)):
+        raise ValueError(f"non-integer entry in {x!r}")
+    if min(x, default=0) < 0:
+        raise ValueError(f"negative entry in {x!r}")
     xe = padded(n, x)
-    mult = {}
-    for k in range(1, n):
-        if x[k - 1] < 0:
-            raise ValueError(f"negative entry in {x!r}")
-        if x[k - 1]:
-            mult[(k, k + 1)] = x[k - 1]
+    mult = {(k, k + 1): c for k, c in enumerate(x, start=1) if c}
     for l in range(1, n + 1):
         a = n + 1 - xe[l] - xe[l - 1]
         if a < 0:
@@ -416,9 +430,7 @@ def rank_from_motzkin(n: int, x) -> RankTuple:
     start at 0.  ``tests/oracles.py`` keeps the four-index form, and the
     tests compare the two on every Motzkin path up to n = 10.
     """
-    if not is_motzkin_path(n, x):
-        raise ValueError(f"{tuple(x)!r} is not a Motzkin path of length {n}")
-    return _motzkin_rank(n, x)
+    return _motzkin_rank(n, _motzkin_path(n, x))
 
 
 def _motzkin_rank(n: int, x) -> RankTuple:

@@ -37,10 +37,11 @@ from .combinatorics import (
     Multisegment,
     RankTuple,
     _multisegment,
+    _parameter_tuple,
     _rank_tuple,
-    in_parameter_set,
     padded,
 )
+from .laurent import _is_int
 
 
 def monotone_maps(nrows: int, ncols: int, lo: int, hi: int):
@@ -48,8 +49,9 @@ def monotone_maps(nrows: int, ncols: int, lo: int, hi: int):
     increasing along rows and down columns, as tuples of row tuples, in
     lexicographic order: each row is one of the weakly increasing rows over
     [lo, hi], and at least the row above it entry by entry."""
-    if nrows < 1 or ncols < 1:
-        raise ValueError("grid must be nonempty")
+    if not all(map(_is_int, (nrows, ncols, lo, hi))) or min(nrows, ncols) < 1:
+        raise ValueError(f"need a nonempty grid and int bounds, got "
+                         f"{nrows!r} x {ncols!r} over [{lo!r}, {hi!r}]")
     rows = list(combinations_with_replacement(range(lo, hi + 1), ncols))
 
     def stack(prev, left):
@@ -67,9 +69,8 @@ def monotone_maps(nrows: int, ncols: int, lo: int, hi: int):
 def kz_rank_general(m: Multisegment, i: int, j: int) -> int:
     """Entry (i, j) of the dual rank tuple, the minimum over monotone maps
     of the module docstring, read off ``dual_rank_tuple_general``."""
-    n = m.n
-    if not (1 <= i <= j <= n):
-        raise ValueError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
+    if not (_is_int(i) and _is_int(j) and 1 <= i <= j <= m.n):
+        raise ValueError(f"need 1 <= i <= j <= {m.n}, got ({i}, {j})")
     return dual_rank_tuple_general(m)[(i, j)]
 
 
@@ -79,11 +80,10 @@ def next_neighbor_rank(n: int, x, i: int) -> int:
     This is the fast membership test: a parameter tuple is a Motzkin path
     exactly when every next-neighbour entry is at least n.
     """
-    if not in_parameter_set(n, x):
-        raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
-    if not 1 <= i <= n - 1:
+    xe = padded(n, _parameter_tuple(n, x))
+    if not (_is_int(i) and 1 <= i <= n - 1):
         raise ValueError(f"need 1 <= i <= {n - 1}, got {i}")
-    return _next_neighbor_rank(n, padded(n, x), i)
+    return _next_neighbor_rank(n, xe, i)
 
 
 def _next_neighbor_rank(n: int, xe, i: int) -> int:
@@ -93,9 +93,7 @@ def _next_neighbor_rank(n: int, xe, i: int) -> int:
 
 def dual_rank_tuple(n: int, x) -> RankTuple:
     """The full dual rank tuple of x', assembled from the closed form."""
-    if not in_parameter_set(n, x):
-        raise ValueError(f"{tuple(x)!r} is not a parameter tuple for n={n}")
-    xe = padded(n, x)
+    xe = padded(n, _parameter_tuple(n, x))
     heads = (0,) + xe[:-1]
     return _near_simple_sweep(
         n, heads, [n + 1 - h - t for h, t in zip(heads, xe)], xe)

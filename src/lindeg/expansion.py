@@ -127,7 +127,7 @@ from math import comb, prod
 from operator import ne, neg
 from types import MappingProxyType
 
-from .combinatorics import in_parameter_set, leq, padded, ptuples, upper_bounds
+from .combinatorics import _parameter_tuple, leq, padded, ptuples, upper_bounds
 from .laurent import ONE, LaurentPoly, _raw, qbinom, qfact, v_power
 
 #: v^-1 - v, the prefactor of the bar transition matrix.
@@ -140,15 +140,17 @@ def pbw_coeff(n: int, y) -> LaurentPoly:
     Closed form: v^{-sum (k - y_k)(n - k - y_k)} *
     prod_k [n + 1 - y_{k-1} - y_k choose k - y_k].
     """
-    y = tuple(y)
-    if not in_parameter_set(n, y):
-        raise ValueError(f"{y!r} is not a parameter tuple for n={n}")
+    e, keys = _pbw_factors(n, _parameter_tuple(n, y))
+    return prod(itertools.starmap(qbinom, keys), start=v_power(e))
+
+
+def _pbw_factors(n: int, y) -> tuple:
+    """The closed form of pbw_coeff(n, y) in parts: the exponent
+    -sum (k - y_k)(n - k - y_k), and the (top, bottom) of each q-binomial
+    factor [n + 1 - y_{k-1} - y_k choose k - y_k], k = 1..n."""
     ye = padded(n, y)
-    exponent = -sum((k - y[k - 1]) * (n - k - y[k - 1]) for k in range(1, n))
-    coeff = v_power(exponent)
-    for k in range(1, n + 1):
-        coeff = coeff * qbinom(n + 1 - ye[k - 1] - ye[k], k - ye[k])
-    return coeff
+    return (-sum((k - ye[k]) * (n - k - ye[k]) for k in range(1, n)),
+            [(n + 1 - ye[k - 1] - ye[k], k - ye[k]) for k in range(1, n + 1)])
 
 
 def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
@@ -159,10 +161,7 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     v^{-(1/2) sum d_k (d_k - 1)} (v^-1 - v)^{sum d_k} prod [d_k]! *
     prod_k [a_k + d_k + d_{k-1} choose d_k] [a_k + d_{k-1} choose d_{k-1}].
     """
-    x, y = tuple(x), tuple(y)
-    for t in (x, y):
-        if not in_parameter_set(n, t):
-            raise ValueError(f"{t!r} is not a parameter tuple for n={n}")
+    x, y = _parameter_tuple(n, x), _parameter_tuple(n, y)
     if not leq(y, x):
         return LaurentPoly()
     if x == y:
@@ -581,11 +580,9 @@ def _packed_pbw(n: int, y, width: int, factors: dict):
     factors, memoized in factors by (top, bottom) at this width.  The
     factors have nonnegative coefficients, so the product of their norms is
     the norm of the product."""
-    ye = padded(n, y)
-    e = -sum((k - y[k - 1]) * (n - k - y[k - 1]) for k in range(1, n))
+    e, keys = _pbw_factors(n, y)
     packed = (1, e, e, 1)
-    for k in range(1, n + 1):
-        key = (n + 1 - ye[k - 1] - ye[k], k - ye[k])
+    for key in keys:
         f = factors.get(key)
         if f is None:
             f = factors[key] = _pack(qbinom(*key)._terms, width,

@@ -25,6 +25,12 @@ MINUS_INFINITY = float("-inf")
 TermsLike = Union[Mapping[int, int], Iterable[tuple[int, int]], None]
 
 
+def _is_int(x) -> bool:
+    """The package's one integer rule: an int that is not a bool, which
+    would pass for 0 or 1 and print as False or True."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class LaurentPoly:
     """An element of Z[v, v^-1] in canonical sparse form."""
 
@@ -32,14 +38,13 @@ class LaurentPoly:
 
     def __init__(self, terms: TermsLike = None):
         data: dict[int, int] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for e, c in items:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise TypeError(f"exponent must be int, got {e!r}")
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise TypeError(f"coefficient must be int, got {c!r}")
-                data[e] = data.get(e, 0) + c
+        items = terms.items() if isinstance(terms, Mapping) else terms or ()
+        for e, c in items:
+            if not _is_int(e):
+                raise TypeError(f"exponent must be int, got {e!r}")
+            if not _is_int(c):
+                raise TypeError(f"coefficient must be int, got {c!r}")
+            data[e] = data.get(e, 0) + c
         self._terms = _nonzero(data)
 
     # -- construction helpers ------------------------------------------------
@@ -99,7 +104,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValueError("only nonnegative integer powers are defined")
         return prod(repeat(self, k), start=ONE)
 
@@ -226,7 +231,7 @@ def _raw(terms: dict[int, int]) -> LaurentPoly:
 def _coerce(x):
     if isinstance(x, LaurentPoly):
         return x
-    if isinstance(x, int):
+    if _is_int(x):
         return _raw({0: x}) if x else ZERO
     return NotImplemented
 
@@ -240,25 +245,32 @@ def v_power(e: int) -> LaurentPoly:
     return LaurentPoly({e: 1})
 
 
-@lru_cache(maxsize=None)
+def _check_k(k, symbols: str) -> None:
+    """Refuse a k of the quantum ``symbols`` that is no int (TypeError) or
+    is negative (ValueError)."""
+    if not _is_int(k):
+        raise TypeError(f"k must be int, got {k!r}")
+    if k < 0:
+        raise ValueError(f"quantum {symbols} are defined for k >= 0")
+
+
+# The caches are typed: untyped, qbinom(2, True) would find the entry of
+# qbinom(2, 1) and return it without running the checks.
+@lru_cache(maxsize=None, typed=True)
 def qint(k: int) -> LaurentPoly:
     """Quantum integer [k] = v^(k-1) + v^(k-3) + ... + v^(1-k); [0] = 0."""
-    if k < 0:
-        raise ValueError("quantum integers are defined for k >= 0")
+    _check_k(k, "integers")
     return _raw({k - 1 - 2 * i: 1 for i in range(k)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qfact(k: int) -> LaurentPoly:
     """Quantum factorial [k]! = [k][k-1]...[1]; [0]! = 1."""
-    if k < 0:
-        raise ValueError("quantum factorials are defined for k >= 0")
-    if k == 0:
-        return ONE
-    return qfact(k - 1) * qint(k)
+    _check_k(k, "factorials")
+    return qfact(k - 1) * qint(k) if k else ONE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qbinom(k: int, m: int) -> LaurentPoly:
     """Quantum binomial [k]! / ([m]! [k-m]!), computed by exact division.
 
@@ -269,6 +281,8 @@ def qbinom(k: int, m: int) -> LaurentPoly:
     factorial coefficient size; each division is asserted exact, so a
     remainder anywhere means a broken invariant and raises immediately.
     """
+    if not (_is_int(k) and _is_int(m)):
+        raise TypeError(f"k and m must be int, got {k!r} and {m!r}")
     if m < 0 or m > k:
         return ZERO
     if m == 0 or m == k:

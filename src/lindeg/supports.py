@@ -38,6 +38,7 @@ from .combinatorics import (
 )
 from .duality import _next_neighbor_rank, dual_rank_tuple
 from .expansion import canonical_coeffs
+from .laurent import _is_int
 
 
 def predicted_supports(n: int) -> list:
@@ -174,6 +175,8 @@ def all_checks_pass(report: dict) -> bool:
 def ratio_string(num: int, den: int, digits: int = 20) -> str:
     """Decimal rendering of an exact integer quotient at a fixed number of
     significant digits."""
+    if not all(map(_is_int, (num, den, digits))):
+        raise TypeError(f"{(num, den, digits)!r} are not all ints")
     with localcontext() as ctx:
         ctx.prec = digits
         s = str(Decimal(num) / Decimal(den))
@@ -189,6 +192,8 @@ def asymptotics_report(max_n: int) -> list:
     quotient at 20 significant digits.  The ratio is strictly decreasing
     from n = 4 on and vanishes exponentially fast.
     """
+    if not _is_int(max_n):
+        raise ValueError(f"max_n must be an integer, got {max_n!r}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     counts = islice(zip(_motzkin_numbers(), _bell_numbers()), 1, max_n + 1)

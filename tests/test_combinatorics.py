@@ -92,6 +92,20 @@ def test_ptuples():
         assert all(in_parameter_set(n, y) for y in ptuples(n))
 
 
+def test_predicates_pick_out_the_enumerations():
+    # is_motzkin_path is in_parameter_set plus unit steps; on the box of all
+    # tuples with entries in [-1, n] each selects exactly its enumeration
+    for n in range(1, 7):
+        box = list(itertools.product(range(-1, n + 1), repeat=n - 1))
+        assert [t for t in box if in_parameter_set(n, t)] == ptuples(n)
+        assert [t for t in box if is_motzkin_path(n, t)] == motzkin_paths(n)
+    for bad in [(0,), (0, 0, 0), (0.0, 0), (0, "1"), (None, 0)]:
+        assert not in_parameter_set(3, bad) and not is_motzkin_path(3, bad)
+    # an iterator is read once
+    assert in_parameter_set(3, iter((1, 1)))
+    assert is_motzkin_path(3, iter((1, 1)))
+
+
 def test_motzkin_paths_lie_in_parameter_set():
     for n in range(1, 11):
         pset = set(ptuples(n))
@@ -349,6 +363,18 @@ def test_public_refusals():
     with pytest.raises(ValueError,
                        match=re.escape("negative entry in (-1, 0)")):
         path_to_multisegment(3, (-1, 0))
+
+
+def test_path_to_multisegment_names_the_tuple():
+    # the entries are checked before any arithmetic, so the refusal names the
+    # caller's tuple, not a multiplicity computed from it
+    for bad in [(True, False), (1, 0.5), (0, "1")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"non-integer entry in {bad!r}")):
+            path_to_multisegment(3, bad)
+    with pytest.raises(ValueError,
+                       match="^n must be a positive integer, got 0$"):
+        path_to_multisegment(0, ())
 
 
 def test_bools_are_refused():
