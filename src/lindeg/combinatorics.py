@@ -465,6 +465,7 @@ def _rank_row(n: int, suffix) -> list:
 def has_single_peak(n: int, x) -> bool:
     """A Motzkin path weakly increasing up to some index p and weakly
     decreasing from p on: along the padded path, no rise follows a fall."""
+    x = tuple(x)
     if not is_motzkin_path(n, x):
         return False
     steps = [b - a for a, b in itertools.pairwise(padded(n, x)) if a != b]

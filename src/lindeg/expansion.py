@@ -12,7 +12,8 @@ words, because closed forms exist for every structure constant needed:
   rests on; the tests compare the two.
 * ``bar_transition_coeff`` is the closed form for the matrix of the bar
   involution on the PBW basis; it is supported on componentwise-comparable
-  pairs only.
+  pairs only.  It is a product of local factors g_k (``_bar_factor``),
+  which the packed W stage multiplies out as well.
 * ``canonical_transition_matrix`` solves the triangular system expressing
   bar invariance of the canonical basis: each off-diagonal entry is the
   unique element of v^-1 Z[v^-1] whose bar-antisymmetrization matches an
@@ -36,7 +37,7 @@ and each stage computes only one of every mirrored pair:
 
 * Reversal sends a_k to a_{n+1-k} and d_k to d_{n-k}, so for (rev x,
   rev y) the factor [a_k + d_k + d_{k-1} choose d_k] [a_k + d_{k-1} choose
-  d_{k-1}] of ``bar_transition_coeff`` becomes, reindexed by k -> n + 1 - k,
+  d_{k-1}] of g_k (``_bar_factor``) becomes, reindexed by k -> n + 1 - k,
   [a_k + d_k + d_{k-1} choose d_{k-1}] [a_k + d_k choose d_k].  Both equal
   the q-multinomial [a_k + d_k + d_{k-1}]! / ([a_k]! [d_k]! [d_{k-1}]!).
   The other factors are symmetric sums and products of the d_k.
@@ -53,9 +54,8 @@ shares the mirror's objects.
 
 Locality of Z.  With d = x - y, ``bar_transition_coeff`` is a product over
 k = 1..n of one function g(x_{k-1}, x_k, d_{k-1}, d_k) of n and two adjacent
-coordinates (padded with x_0 = x_n = d_0 = d_n = 0), the per-coordinate
-factors v^(-d_k (d_k - 1) / 2) (v^-1 - v)^(d_k) [d_k]! shared out to one
-side; g = 1 when d_{k-1} = d_k = 0.  Fix a column x.  Its entries Z(x, t)
+coordinates, ``_bar_factor`` (padded with x_0 = x_n = d_0 = d_n = 0);
+g = 1 when d_{k-1} = d_k = 0.  Fix a column x.  Its entries Z(x, t)
 for t in a box [y, x] are the unique solution of the system on that box:
 Z(x, x) = 1, Z(x, t) in v^-1 Z[v^-1] for t < x, and
 Z(x, t) = sum over t <= m <= x of bar(Z(x, m)) W(m, t), because solving it
@@ -157,26 +157,27 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
     """Coefficient of the PBW monomial y in the bar image of the PBW
     monomial x; zero unless x >= y componentwise.
 
-    With d = x - y and a_k = n + 1 - x_{k-1} - x_k:
-    v^{-(1/2) sum d_k (d_k - 1)} (v^-1 - v)^{sum d_k} prod [d_k]! *
-    prod_k [a_k + d_k + d_{k-1} choose d_k] [a_k + d_{k-1} choose d_{k-1}].
+    With d = x - y and x, d padded with zero ends: the product over
+    k = 1..n of the local factors g_k = _bar_factor(n, x_{k-1}, x_k,
+    d_{k-1}, d_k).
     """
     x, y = _parameter_tuple(n, x), _parameter_tuple(n, y)
     if not leq(y, x):
         return LaurentPoly()
-    if x == y:
-        return ONE
     xe = padded(n, x)
-    de = tuple(a - b for a, b in zip(xe, padded(n, y)))
-    twice_exp = sum(d * (d - 1) for d in de)
-    coeff = v_power(-twice_exp // 2) * _VINV_MINUS_V ** sum(de)
-    for d in de[1:n]:
-        coeff = coeff * qfact(d)
-    for k in range(1, n + 1):
-        a_k = n + 1 - xe[k - 1] - xe[k]
-        coeff = coeff * qbinom(a_k + de[k] + de[k - 1], de[k])
-        coeff = coeff * qbinom(a_k + de[k - 1], de[k - 1])
-    return coeff
+    de = [a - b for a, b in zip(xe, padded(n, y))]
+    return prod((_bar_factor(n, xe[k - 1], xe[k], de[k - 1], de[k])
+                 for k in range(1, n + 1)), start=ONE)
+
+
+def _bar_factor(n: int, xp: int, xk: int, dp: int, dk: int) -> LaurentPoly:
+    """The local factor g_k of bar_transition_coeff, for x_{k-1}, x_k =
+    xp, xk and d_{k-1}, d_k = dp, dk.  With a = n + 1 - xp - xk:
+    [a + dk + dp choose dk] [a + dp choose dp] [dk]! v^(-dk (dk - 1) / 2)
+    (v^-1 - v)^dk."""
+    a = n + 1 - xp - xk
+    return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
+            * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
 
 
 def _pairs(n: int) -> int:
@@ -198,6 +199,12 @@ def _between(y, x):
 def _descending(keys):
     """Descending coordinate sum, ties in ascending lexicographic order."""
     return sorted(keys, key=lambda t: (-sum(t), t))
+
+
+def _reversal_canonical(keys):
+    """The keys x with x <= rev x lexicographically, in the order of keys:
+    one of every mirrored pair."""
+    return (x for x in keys if x <= x[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +266,13 @@ def _bias(count: int, width: int) -> int:
 
 
 def _pack_slots(slots, lo: int, width: int, label) -> tuple:
-    """Pack the coefficients of v^lo, v^(lo + 2), ... (nonempty)."""
+    """Pack the coefficients c_i of v^(lo + 2i) (nonempty) as the sum of
+    c_i 2^(width i), built from the top slot down."""
     norm = sum(map(abs, slots))
     _check_bound(norm, width, label)
-    code = _TYPECODES.get(width)
-    if code:
-        raw = array(code, slots).tobytes()
-    else:
-        raw = b"".join(c.to_bytes(width // 8, "little", signed=True)
-                       for c in slots)
-    bias = _bias(len(slots), width)
-    value = (int.from_bytes(raw, "little") ^ bias) - bias
+    value = 0
+    for c in reversed(slots):
+        value = (value << width) + c
     return value, lo, lo + 2 * (len(slots) - 1), norm
 
 
@@ -406,23 +409,14 @@ def _bar_table(n: int, width: int) -> dict:
     """W on the packed kernel as a by-target table in width-bit slots, one
     column x at a time.  One loop per coordinate k extends the lexicographic
     list of (y prefix, d_k, packed prefix product) by the memoized local
-    factors g_k(x_{k-1}, x_k, d_{k-1}, d_k) of the closed form; g_n is
+    factors g_k = _bar_factor(n, x_{k-1}, x_k, d_{k-1}, d_k); g_n is
     folded into the factor for k = n - 1, so each entry costs about one
     multiply.  A new entry is decoded once, for the slot guard and its tight
     norm.  Each entry also fills its mirror (rev x, rev y)."""
     table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
-
-    def local(xp, xk, dp, dk):
-        a = n + 1 - xp - xk
-        return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
-                * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
-
     # the largest entries lie in the largest columns: walked from the top, a
     # refused width shows before any work is done
-    for x in reversed(ptuples(n)):
-        rx = x[::-1]
-        if rx < x:
-            continue  # filled when its mirror rx is walked
+    for x in _reversal_canonical(reversed(ptuples(n))):
         xe = padded(n, x)
         prefixes = [((), 0, _UNIT)]
         for k in range(1, n):
@@ -433,9 +427,9 @@ def _bar_table(n: int, width: int) -> dict:
                     key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
                     g = factors.get(key)
                     if g is None:
-                        g = local(xe[k - 1], xe[k], dp, dk)
+                        g = _bar_factor(n, xe[k - 1], xe[k], dp, dk)
                         if k == n - 1:
-                            g = g * local(xe[k], 0, dk, 0)
+                            g = g * _bar_factor(n, xe[k], 0, dk, 0)
                         g = factors[key] = _pack(g._terms, width,
                                                  ("W factor", n, key))
                     grown.append((y + (yk,), dk, _mul(prefix, g)))
@@ -448,7 +442,7 @@ def _bar_table(n: int, width: int) -> dict:
                 slots = _decode(value, lo, hi, width, label)
                 w = interned[(value, lo)] = (value, lo, hi,
                                              sum(map(abs, slots)))
-            table[y][x] = table[y[::-1]][rx] = w
+            table[y][x] = table[y[::-1]][x[::-1]] = w
     return table
 
 
@@ -529,10 +523,8 @@ def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
         w_to, table = w._take(width), {y: {} for y in ptuples(n)}
         # (packed z, packed bar(z)) by the packed bar image, and by local key
         interned, memo = {}, {}
-        for x in ptuples(n):
+        for x in _reversal_canonical(ptuples(n)):
             rx = x[::-1]
-            if rx < x:
-                continue  # filled while its mirror rx was solved
             xe = padded(n, x)
             table[x][x] = table[rx][rx] = _UNIT
             bars = {}  # (z, bar(z)) of the entries solved in this column

@@ -51,8 +51,10 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        """Inverse of to_pairs(); accepts [exponent, coefficient-string] pairs."""
-        return cls((int(e), int(c)) for e, c in pairs)
+        """Inverse of to_pairs(); accepts [exponent, coefficient-string] pairs
+        whose entries are ints or decimal strings, an optional - and ASCII
+        digits."""
+        return cls((_parse_int(e), _parse_int(c)) for e, c in pairs)
 
     def to_pairs(self) -> list[list[str | int]]:
         """Serialized form: [exponent, coefficient-as-decimal-string] pairs,
@@ -160,7 +162,9 @@ class LaurentPoly:
         Division in Z[v, v^-1] reduces to ordinary polynomial division after
         shifting both operands so their lowest exponent is zero.
         """
-        other = _coerce(other)
+        divisor, other = other, _coerce(other)
+        if other is NotImplemented:
+            raise TypeError(f"cannot divide by {divisor!r}")
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -226,6 +230,18 @@ def _raw(terms: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._terms = terms
     return p
+
+
+def _parse_int(x) -> int:
+    """x as from_pairs reads it: an int, or the decimal string of one."""
+    if _is_int(x):
+        return x
+    if not isinstance(x, str):
+        raise TypeError(f"expected an int or a decimal string, got {x!r}")
+    digits = x.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {x!r}")
+    return int(x)
 
 
 def _coerce(x):

@@ -106,6 +106,15 @@ def test_predicates_pick_out_the_enumerations():
     assert is_motzkin_path(3, iter((1, 1)))
 
 
+def test_has_single_peak_reads_an_iterator_once():
+    # the path is checked and then walked; an iterator gives the answer of
+    # its tuple
+    assert not has_single_peak(4, iter((1, 0, 1)))
+    for n in range(1, 7):
+        for x in motzkin_paths(n):
+            assert has_single_peak(n, iter(x)) == has_single_peak(n, x), x
+
+
 def test_motzkin_paths_lie_in_parameter_set():
     for n in range(1, 11):
         pset = set(ptuples(n))

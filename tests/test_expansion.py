@@ -1,5 +1,8 @@
 """PBW expansion, bar transition, triangular solve, canonical coefficients."""
 
+import math
+import random
+import sys
 import weakref
 from operator import sub
 
@@ -782,3 +785,85 @@ def test_kernel_refuses_mixed_parity():
     with pytest.raises(ArithmeticError, match="mixes parity"):
         expansion._dot([(even, expansion._UNIT), (odd, expansion._UNIT)],
                        64, LABEL)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
+def test_pack_slots_is_the_kronecker_sum(width):
+    # the packed value is sum c_i 2^(width i) on every width, and the
+    # decoder gives the slots back; slots at the edge of the proven bound,
+    # +-(2^(width - 2) - 1), are included
+    rng = random.Random(width)
+    edge = (1 << (width - 2)) - 1
+    cases = [[edge], [-edge], [0, edge, 0], [-edge, 0], [0]]
+    for count in range(1, 12):
+        share = edge // count
+        cases.append([rng.randint(-share, share) for _ in range(count)])
+    for slots in cases:
+        lo = rng.randrange(-20, 20)
+        value, got_lo, hi, norm = expansion._pack_slots(slots, lo, width,
+                                                        LABEL)
+        assert value == sum(c << (width * i) for i, c in enumerate(slots))
+        assert (got_lo, hi, norm) == (lo, lo + 2 * (len(slots) - 1),
+                                      sum(map(abs, slots)))
+        assert list(expansion._decode(value, lo, hi, width, LABEL)) == slots
+
+
+def test_bar_transition_coeff_is_the_product_of_its_local_factors():
+    # the closed form and the packed W walk read one local factor g_k
+    for n in range(1, 6):
+        for x in ptuples(n):
+            xe = padded(n, x)
+            for y in below(x):
+                de = padded(n, map(sub, x, y))
+                want = math.prod(
+                    (expansion._bar_factor(n, xe[k - 1], xe[k], de[k - 1],
+                                           de[k]) for k in range(1, n + 1)),
+                    start=ONE)
+                assert bar_transition_coeff(n, x, y) == want, (n, x, y)
+
+
+def test_traced_call_chain(monkeypatch):
+    # perfbench's traced worker rebinds the three stage names in every
+    # lindeg module, reads W's span and divides Z's products by Z's self
+    # time: a cold verify must nest the stages once, build W inside W's
+    # span, and run Z's box sums inside Z's span but outside W's
+    from lindeg.supports import all_checks_pass, verify_supports
+    stages = ("canonical_coeffs", "canonical_transition_matrix",
+              "bar_transition_matrix")
+    calls, open_spans = [], []
+
+    def traced(fn, name):
+        def call(*args):
+            calls.append((name, tuple(open_spans), args))
+            open_spans.append(name)
+            try:
+                return fn(*args)
+            finally:
+                open_spans.pop()
+        return call
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "lindeg" or name.startswith("lindeg.")]
+    canonical_coeffs.cache_clear()
+    for name in stages:
+        fn = getattr(expansion, name)
+        wrapped = traced(fn, name)
+        for m in modules:
+            for attr in [a for a, v in vars(m).items() if v is fn]:
+                monkeypatch.setattr(m, attr, wrapped)
+    for name in ("_bar_table", "_dot"):
+        monkeypatch.setattr(expansion, name,
+                            traced(getattr(expansion, name), name))
+    assert all_checks_pass(verify_supports(5))
+    chain = [(name, spans) for name, spans, _ in calls if name in stages]
+    # the first canonical_coeffs builds mu; later ones are cache hits
+    assert chain[:3] == [(stages[0], ()), (stages[1], stages[:1]),
+                         (stages[2], stages[:2])]
+    assert {call for call in chain[3:]} <= {(stages[0], ())}
+    bar_tables = [spans for name, spans, _ in calls if name == "_bar_table"]
+    assert len(bar_tables) == 1
+    assert all(stages[2] in spans for spans in bar_tables)
+    z_dots = [spans for name, spans, args in calls
+              if name == "_dot" and args[2][0] == "Z"]
+    assert z_dots and all(stages[1] in spans and stages[2] not in spans
+                          for spans in z_dots)

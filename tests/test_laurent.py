@@ -194,6 +194,37 @@ def test_serialization_roundtrip():
         assert LaurentPoly.from_pairs(pairs) == p
 
 
+def test_from_pairs_reads_ints_and_decimal_strings_only():
+    # what to_pairs writes comes back; floats and bools are refused, not
+    # truncated or read as 0 and 1, and so is any other string
+    for p in (ZERO, ONE, -V, v_power(-5) * qbinom(7, 3) - (1 << 70) * VINV):
+        assert LaurentPoly.from_pairs(p.to_pairs()) == p
+    assert LaurentPoly.from_pairs([["-2", 3], [0, "-0"]]) == LaurentPoly(
+        {-2: 3})
+    for bad in (2.7, 1.0, True, False, None, Fraction(1)):
+        message = re.escape(f"expected an int or a decimal string, got "
+                            f"{bad!r}")
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly.from_pairs([[0, bad]])
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly.from_pairs([[bad, "1"]])
+    for bad in ("", "-", "+1", " 1", "1 ", "1.0", "1_000", "--1", "0x1",
+                "\u0663"):
+        message = re.escape(f"not a decimal integer: {bad!r}")
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly.from_pairs([[0, bad]])
+        with pytest.raises(ValueError, match=message):
+            LaurentPoly.from_pairs([[bad, "1"]])
+
+
+def test_exact_div_refuses_what_is_not_a_polynomial():
+    # as the ring operations refuse such operands, with the value named
+    for bad in (2.5, True, None, "2", Fraction(2)):
+        with pytest.raises(TypeError, match=re.escape(f"by {bad!r}")):
+            V.exact_div(bad)
+    assert (2 * V).exact_div(2) == V and V.exact_div(V) == ONE
+
+
 def test_int_interop_and_hash():
     assert ONE == 1
     assert LaurentPoly({0: -4}) == -4
