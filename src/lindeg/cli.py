@@ -48,7 +48,7 @@ from .duality import (
     dual_rank_tuple_near_simple,
 )
 from .expansion import _pairs, canonical_coeffs
-from .laurent import LaurentPoly, qbinom, qint
+from .laurent import LaurentPoly, _parse_int, qbinom, qint
 from .supports import (
     all_checks_pass,
     asymptotics_report,
@@ -70,8 +70,11 @@ def parse_multisegment(text: str, n: int | None) -> Multisegment:
             item = item.strip()
             try:
                 left, value = item.split("=")
-                i_s, j_s = left.split(",")
-                entries.append(((int(i_s), int(j_s)), int(value)))
+                # each field as LaurentPoly.from_pairs reads an int: an
+                # optional '-' and ASCII digits, no '_' or '+'
+                i, j, mult = (_parse_int(f.strip())
+                              for f in [*left.split(","), value])
+                entries.append(((i, j), mult))
             except ValueError:
                 raise ValueError(f"cannot parse multisegment entry {item!r}; "
                                  "expected i,j=mult")

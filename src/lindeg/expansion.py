@@ -12,8 +12,9 @@ words, because closed forms exist for every structure constant needed:
   rests on; the tests compare the two.
 * ``bar_transition_coeff`` is the closed form for the matrix of the bar
   involution on the PBW basis; it is supported on componentwise-comparable
-  pairs only.  It is a product of local factors g_k (``_bar_factor``),
-  which the packed W stage multiplies out as well.
+  pairs only.  It is a product of local factors g_k, each a product of the
+  pieces ``_bar_pieces`` gives: ``_bar_factor`` multiplies them as
+  LaurentPolys, the packed W stage as packed integers.
 * ``canonical_transition_matrix`` solves the triangular system expressing
   bar invariance of the canonical basis: each off-diagonal entry is the
   unique element of v^-1 Z[v^-1] whose bar-antisymmetrization matches an
@@ -107,6 +108,16 @@ psi(x) - psi(y) with psi(t) = sum t_k^2 + sum t_k t_{k-1} - 2 (n + 1) sum t_k.)
   1 v^L(x, y), and L <= -1 puts that term into Z(x, y).  So Z has all
   ``_pairs(n)`` entries, each starts with 1 v^L(x, y), and each box sum
   starts at its first pair W(x, y) 1.
+* Alignment.  With z = Z(x, m), the term bar(z) W(m, y) starts at
+  lo bar(z) + L(m, y) = L(x, y) + (lo bar(z) - lo z), as lo z = L(x, m).
+  So it lies (lo bar(z) - lo z) / 2 >= 1 slots above the first pair, an
+  offset of the entry z alone, and the same for a product of run factors,
+  whose lows add.  The Z solve stores it with each entry as a bit shift
+  and sums a box in one pass, with no exponent arithmetic per term.
+  Nothing is summed there below its first pair, as long as W starts at
+  v^L: ``_bar_table`` refuses a W entry that does not start at
+  v^(psi(x) - psi(y)), and each box solve refuses a first pair W(x, y)
+  that does not, as a bar-antisymmetry failure.
 * mu.  Packed -mu(x) starts where its sum does, at pbw(x)'s lowest
   exponent lo pbw(x), so its product with Z(x, y) starts at
   lo pbw(x) + L(x, y).  pbw(t) = sum over s >= t of mu(s) Z(s, t) is a sum
@@ -114,7 +125,9 @@ psi(x) - psi(y) with psi(t) = sum t_k^2 + sum t_k t_{k-1} - 2 (n + 1) sum t_k.)
   N[v, v^-1], Z in N[v^-1]), so lo pbw(t) is the least lo mu(s) + L(s, t)
   over s >= t with mu(s) != 0.  With L(s, x) + L(x, y) = L(s, y) this
   gives lo pbw(x) + L(x, y) >= lo pbw(y): no product in the sum for mu(y)
-  starts below its first pair, pbw(y) 1.
+  starts below its first pair, pbw(y) 1.  The offset is not one of an
+  entry alone, so ``_dot`` reads it per term and refuses a product below
+  the first pair.
 """
 
 from __future__ import annotations
@@ -122,7 +135,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Mapping
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import comb, prod
 from operator import ne, neg
 from types import MappingProxyType
@@ -140,17 +153,19 @@ def pbw_coeff(n: int, y) -> LaurentPoly:
     Closed form: v^{-sum (k - y_k)(n - k - y_k)} *
     prod_k [n + 1 - y_{k-1} - y_k choose k - y_k].
     """
-    e, keys = _pbw_factors(n, _parameter_tuple(n, y))
-    return prod(itertools.starmap(qbinom, keys), start=v_power(e))
+    e, parts = _pbw_factors(n, _parameter_tuple(n, y))
+    return prod((f(*args) for f, *args in parts), start=v_power(e))
 
 
 def _pbw_factors(n: int, y) -> tuple:
-    """The closed form of pbw_coeff(n, y) in parts: the exponent
-    -sum (k - y_k)(n - k - y_k), and the (top, bottom) of each q-binomial
-    factor [n + 1 - y_{k-1} - y_k choose k - y_k], k = 1..n."""
+    """The closed form of pbw_coeff(n, y) in pieces: the exponent
+    -sum (k - y_k)(n - k - y_k), and each q-binomial factor
+    [n + 1 - y_{k-1} - y_k choose k - y_k], k = 1..n, as (qbinom, top,
+    bottom)."""
     ye = padded(n, y)
     return (-sum((k - ye[k]) * (n - k - ye[k]) for k in range(1, n)),
-            [(n + 1 - ye[k - 1] - ye[k], k - ye[k]) for k in range(1, n + 1)])
+            [(qbinom, n + 1 - ye[k - 1] - ye[k], k - ye[k])
+             for k in range(1, n + 1)])
 
 
 def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
@@ -172,18 +187,37 @@ def bar_transition_coeff(n: int, x, y) -> LaurentPoly:
 
 def _bar_factor(n: int, xp: int, xk: int, dp: int, dk: int) -> LaurentPoly:
     """The local factor g_k of bar_transition_coeff, for x_{k-1}, x_k =
-    xp, xk and d_{k-1}, d_k = dp, dk.  With a = n + 1 - xp - xk:
-    [a + dk + dp choose dk] [a + dp choose dp] [dk]! v^(-dk (dk - 1) / 2)
-    (v^-1 - v)^dk."""
+    xp, xk and d_{k-1}, d_k = dp, dk: the product of its pieces
+    (_bar_pieces) as LaurentPolys."""
+    e, parts = _bar_pieces(n, xp, xk, dp, dk)
+    return prod((f(*args) for f, *args in parts), start=v_power(e))
+
+
+def _bar_pieces(n: int, xp: int, xk: int, dp: int, dk: int) -> tuple:
+    """g_k in pieces, as _pbw_factors gives pbw_coeff: the exponent
+    -dk (dk - 1) / 2 of its power of v, and its other factors as
+    (function, *arguments), each function giving a LaurentPoly.  With
+    a = n + 1 - xp - xk they are [a + dk + dp choose dk] [a + dp choose dp]
+    [dk]! (v^-1 - v)^dk."""
     a = n + 1 - xp - xk
-    return (qbinom(a + dk + dp, dk) * qbinom(a + dp, dp) * qfact(dk)
-            * v_power(-dk * (dk - 1) // 2) * _VINV_MINUS_V ** dk)
+    return -dk * (dk - 1) // 2, ((qbinom, a + dk + dp, dk),
+                                 (qbinom, a + dp, dp), (qfact, dk),
+                                 (_VINV_MINUS_V.__pow__, dk))
 
 
 def _pairs(n: int) -> int:
     """The number of pairs y <= x in P(n), so of W's entries: the pairs
     0 <= y_k <= x_k <= b_k count per coordinate, b the upper bounds."""
     return prod(comb(b + 2, 2) for b in upper_bounds(n))
+
+
+@lru_cache(maxsize=None)
+def _psi(n: int) -> dict:
+    """{t: psi(t)} on P(n), psi(t) = sum t_k^2 + sum t_k t_{k-1} -
+    2 (n + 1) sum t_k for t padded with zero ends: W(x, y) and Z(x, y)
+    start at v^L(x, y), L(x, y) = psi(x) - psi(y) (module docstring)."""
+    return {t: sum(c * (c + p - 2 * (n + 1)) for c, p in zip(t, (0,) + t))
+            for t in ptuples(n)}
 
 
 def _below(x):
@@ -216,7 +250,10 @@ def _reversal_canonical(keys):
 # slots for the coefficients c_i of v^(lo + 2i), lo <= lo + 2i <= hi, and
 # norm is at least the sum of the absolute values of its coefficients.
 # Evaluation is a ring homomorphism, so one big-int multiply packs the
-# product of two entries and shifted big-int sums pack sums of products.
+# product of two entries and shifted big-int sums pack sums of products:
+# a closed form is packed as the product of its packed pieces, and a sum
+# adds each product shifted by its offset above the first term, which the
+# Z box sums store with each entry and mu's sums (_dot) read per term.
 # Decoding is unique while every coefficient stays below 2^(width - 1) in
 # absolute value.  A coefficient of sum a*b is at most sum ||a|| ||b||, and
 # that proven bound is held to width - 2 bits before anything is decoded;
@@ -291,6 +328,18 @@ def _mul(a: tuple, b: tuple) -> tuple:
     return a[0] * b[0], a[1] + b[1], a[2] + b[2], a[3] * b[3]
 
 
+def _packed_product(e: int, parts, width: int, memo: dict, label) -> tuple:
+    """v^e times the pieces (function, *arguments) of a closed form
+    (_pbw_factors, _bar_pieces), packed.  Each piece is packed once, into
+    memo at this width; the norm is the product of the pieces' norms."""
+    packed = (1, e, e, 1)
+    for part in parts:
+        if part not in memo:
+            memo[part] = _pack(part[0](*part[1:])._terms, width, label)
+        packed = _mul(packed, memo[part])
+    return packed
+
+
 def _decode(value: int, lo: int, hi: int, width: int, label):
     """The signed slots of a packed value on the lattice lo, lo + 2, ...,
     hi.  A slot within 2 bits of the limit is refused: one whose
@@ -322,9 +371,9 @@ def _terms(lo: int, slots) -> dict:
 def _dot(pairs: list, width: int, label) -> tuple:
     """(lo, slots) of the sum of a * b over nonempty packed pairs (a, b).
 
-    One pass, relative to the first pair's lowest exponent: in every sum the
-    stages form no product starts lower (module docstring), and one that
-    does is refused."""
+    One pass, relative to the first pair's lowest exponent: in the sums for
+    mu no product starts lower (module docstring), and one that does is
+    refused; a product off the first pair's parity class too."""
     first_a, first_b = pairs[0]
     lo = first_a[1] + first_b[1]
     hi = first_a[2] + first_b[2]
@@ -405,15 +454,33 @@ class _PackedView(Mapping):
 # the three expansion stages
 # ---------------------------------------------------------------------------
 
+def _packed_bar_factor(n: int, key, width: int, memo: dict) -> tuple:
+    """The local factor of _bar_table for key = (last, x_{k-1}, x_k,
+    d_{k-1}, d_k): g_k, times g_n when last, packed from its pieces, which
+    _packed_product memoizes in memo.  One decode makes its norm tight: the
+    product of the pieces' norms overstates it, (v^-1 - v)^d having mixed
+    signs, and that slack would carry into every entry."""
+    e, parts = _bar_pieces(n, *key[1:])
+    if key[0]:  # g_n = g(x_{n-1}, 0, d_{n-1}, 0) has no power of v
+        parts += _bar_pieces(n, key[2], 0, key[4], 0)[1]
+    label = ("W factor", n, key)
+    value, lo, hi, norm = _packed_product(e, parts, width, memo, label)
+    _check_bound(norm, width, label)
+    return value, lo, hi, sum(map(abs, _decode(value, lo, hi, width, label)))
+
+
 def _bar_table(n: int, width: int) -> dict:
     """W on the packed kernel as a by-target table in width-bit slots, one
     column x at a time.  One loop per coordinate k extends the lexicographic
-    list of (y prefix, d_k, packed prefix product) by the memoized local
-    factors g_k = _bar_factor(n, x_{k-1}, x_k, d_{k-1}, d_k); g_n is
-    folded into the factor for k = n - 1, so each entry costs about one
-    multiply.  A new entry is decoded once, for the slot guard and its tight
-    norm.  Each entry also fills its mirror (rev x, rev y)."""
-    table, interned, factors = {y: {} for y in ptuples(n)}, {}, {}
+    list of (y prefix, d_k, packed prefix product) by the local factors
+    (_packed_bar_factor), g_n folded into the factor for k = n - 1, so each
+    entry costs about one multiply; memo holds the packed factors by key
+    and their packed pieces by piece.  An entry that does not start at
+    v^L(x, y) is refused: the aligned box sums of the Z solve rely on it.
+    A new entry is decoded once, for the slot guard and its tight norm.
+    Each entry also fills its mirror (rev x, rev y)."""
+    table, interned, memo = {y: {} for y in ptuples(n)}, {}, {}
+    psi = _psi(n)
     # the largest entries lie in the largest columns: walked from the top, a
     # refused width shows before any work is done
     for x in _reversal_canonical(reversed(ptuples(n))):
@@ -423,25 +490,22 @@ def _bar_table(n: int, width: int) -> dict:
             grown = []
             for y, dp, prefix in prefixes:
                 for yk in range(xe[k] + 1):
-                    dk = xe[k] - yk
-                    key = (k == n - 1, xe[k - 1], xe[k], dp, dk)
-                    g = factors.get(key)
+                    key = (k == n - 1, xe[k - 1], xe[k], dp, xe[k] - yk)
+                    g = memo.get(key)
                     if g is None:
-                        g = _bar_factor(n, xe[k - 1], xe[k], dp, dk)
-                        if k == n - 1:
-                            g = g * _bar_factor(n, xe[k], 0, dk, 0)
-                        g = factors[key] = _pack(g._terms, width,
-                                                 ("W factor", n, key))
-                    grown.append((y + (yk,), dk, _mul(prefix, g)))
+                        g = memo[key] = _packed_bar_factor(n, key, width,
+                                                           memo)
+                    grown.append((y + (yk,), key[4], _mul(prefix, g)))
             prefixes = grown
         for y, _, (value, lo, hi, norm) in prefixes:
             label = ("W", n, (x, y))
             _check_bound(norm, width, label)
+            if lo != psi[x] - psi[y]:
+                raise ArithmeticError(f"{_where(label)} does not start at v^L")
             w = interned.get((value, lo))
             if w is None:
-                slots = _decode(value, lo, hi, width, label)
-                w = interned[(value, lo)] = (value, lo, hi,
-                                             sum(map(abs, slots)))
+                w = interned[(value, lo)] = (value, lo, hi, sum(map(
+                    abs, _decode(value, lo, hi, width, label))))
             table[y][x] = table[y[::-1]][x[::-1]] = w
     return table
 
@@ -455,92 +519,103 @@ def bar_transition_matrix(n: int) -> Mapping:
 
 @lru_cache(maxsize=None)
 def _runs(pattern) -> tuple:
-    """The maximal runs (start, stop) of true entries in pattern."""
-    runs = []
-    for k, nonzero in enumerate(pattern):
-        if nonzero:
-            if runs and runs[-1][1] == k:
-                runs[-1][1] = k + 1
-            else:
-                runs.append([k, k + 1])
-    return tuple(map(tuple, runs))
+    """The maximal runs (start, stop) of true entries in pattern: its
+    starts and stops alternate where pattern, padded with false at both
+    ends, changes."""
+    p = (False, *pattern, False)
+    edges = [k for k in range(len(p) - 1) if p[k] != p[k + 1]]
+    return tuple(zip(edges[::2], edges[1::2]))
+
+
+def _box_solve(n: int, x, y, low: int, w_y: dict, bars: dict,
+               width: int) -> tuple:
+    """(z, bar(z), shift) for the one-run entry z = Z(x, y), from the W row
+    w_y of y and the (z, bar(z), shift) of the entries of column x solved
+    so far, bars; low = L(x, y).  The box sum is aligned (module
+    docstring): its first pair W(x, y) starts at v^low, and the term
+    bar Z(x, m) W(m, y) shift bits above it, where shift, stored with each
+    entry, is width (lo bar z - lo z) / 2 of z = Z(x, m)."""
+    label = ("Z", n, (x, y))
+    total, lo, _, bound = w_y[x]
+    # the box ends y and x, which bars does not hold, come first and last
+    for m in list(_between(y, x))[1:-1]:
+        _, (a, _, _, a_norm), shift = bars[m]
+        b, _, _, b_norm = w_y[m]
+        total += a * b << shift
+        bound += a_norm * b_norm
+    _check_bound(bound, width, label)
+    # the rhs is read on the window [lo, -lo], or up to its top slot if it
+    # runs past it.  Its first pair must start at v^lo, lo = L(x, y) <= -1
+    # (module docstring), and the rhs with 1 v^lo.  A bar-antisymmetric rhs
+    # is its own negated mirror image, so it lies on the 1 - lo slots of the
+    # window and equals its negated reversal there, which forces a zero
+    # constant term
+    top = lo + 2 * max(-lo, abs(total).bit_length() // width)
+    slots = _decode(total, lo, top, width, label)
+    window = slots[:1 - lo]
+    if (lo != low or slots[0] != 1 or any(slots[1 - lo:])
+            or list(map(neg, reversed(window))) != list(window)):
+        raise ArithmeticError(
+            f"bar-antisymmetry failed solving entry ({x}, {y}) at "
+            f"n={n}: rhs = {_raw(_terms(lo, slots))}")
+    # z is the part of the rhs below v^0, the lower half of the window,
+    # trimmed at its top end v^hi so that z and bar(z) are packed tight and
+    # so are the products of such.  The rhs is z - bar(z), bar(z) from v^-hi
+    # up, so total = z - (bar(z) << shift); |z| < 2^(shift - 1), as z ends
+    # below v^-hi, and total / 2^shift rounded to the nearest integer is
+    # -bar(z)
+    zslots = window[:len(window) // 2]
+    while not zslots[-1]:
+        del zslots[-1]
+    norm, hi = sum(map(abs, zslots)), lo + 2 * (len(zslots) - 1)
+    _check_bound(norm, width, label)
+    shift = width * ((-hi - lo) >> 1)
+    zbar = -((total + (1 << (shift - 1))) >> shift)
+    return ((total + (zbar << shift), lo, hi, norm), (zbar, -hi, -lo, norm),
+            shift)
 
 
 def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
     """Z on the packed kernel, one column x at a time, as a view over its
     by-target table; it takes the table of the W view w.  Each entry also
     fills its mirror.  An entry whose x - y has two or more runs is the
-    product of its run factors; an entry with one run is box-solved once
-    per reversal-canonical local key and reused (see the module
-    docstring)."""
-
-    def box_solve(x, y, w_y, bars, width, interned):
-        pairs = [(w_y[x], _UNIT)]
-        # bars holds neither x nor the unsolved y: the box ends drop out
-        for m in _between(y, x):
-            hit = bars.get(m)
-            if hit is not None:
-                pairs.append((hit[1], w_y[m]))
-        label = ("Z", n, (x, y))
-        lo, slots = _dot(pairs, width, label)
-        # the rhs starts with 1 v^lo, lo = L(x, y) <= -1 (module docstring),
-        # and a bar-antisymmetric rhs is its own negated mirror image, so it
-        # lies on the 1 - lo slots of the window [lo, -lo] and equals its
-        # negated reversal there, which forces a zero constant term.  A
-        # broken rhs that starts at lo >= 0 is refused on that alone: there
-        # 1 - lo counts no slots, and the slices would cut from the far end
-        window = slots[:1 - lo]
-        if (lo >= 0 or slots[0] != 1 or len(window) < 1 - lo
-                or any(slots[1 - lo:])
-                or list(map(neg, reversed(window))) != list(window)):
-            raise ArithmeticError(
-                f"bar-antisymmetry failed solving entry ({x}, {y}) at "
-                f"n={n}: rhs = {_raw(_terms(lo, slots))}")
-        # z is the part of the rhs below v^0, the lower half of the window,
-        # trimmed at its top end so that z and bar(z) are packed tight and
-        # so are the products of such
-        zslots = window[:len(window) // 2]
-        while not zslots[-1]:
-            del zslots[-1]
-        zbar = _pack_slots(zslots[::-1], -lo - 2 * (len(zslots) - 1),
-                           width, label)
-        return interned.setdefault(
-            zbar[:2], (_pack_slots(zslots, lo, width, label), zbar))
-
-    def product(x, y, runs, bars, width, interned):
-        # Z(x, y) and its bar image are the products of the run factors'
-        # (z, bar(z)) pairs.  Their ends are tight because the factors' are,
-        # and so is their norm: Z has nonnegative coefficients (Lusztig's
-        # positivity), so the norm of a product is the product of the norms
-        z = zbar = _UNIT
-        for i, j in runs:
-            f = bars[x[:i] + y[i:j] + x[j:]]
-            z, zbar = _mul(z, f[0]), _mul(zbar, f[1])
-        _check_bound(z[3], width, ("Z", n, (x, y)))
-        return interned.setdefault(zbar[:2], (z, zbar))
-
+    product of its run factors; an entry with one run is box-solved
+    (_box_solve) once per local key and its mirror, and reused (see the
+    module docstring)."""
     def attempt(width):
         w_to, table = w._take(width), {y: {} for y in ptuples(n)}
-        # (packed z, packed bar(z)) by the packed bar image, and by local key
-        interned, memo = {}, {}
+        # (packed z, packed bar(z), shift) by the packed bar image, and by
+        # local key; psi gives L(x, y) = psi(x) - psi(y)
+        interned, memo, psi = {}, {}, _psi(n)
         for x in _reversal_canonical(ptuples(n)):
-            rx = x[::-1]
-            xe = padded(n, x)
+            rx, xe, psi_x = x[::-1], padded(n, x), psi[x]
             table[x][x] = table[rx][rx] = _UNIT
-            bars = {}  # (z, bar(z)) of the entries solved in this column
+            bars = {}  # (z, bar(z), shift) of the entries of this column
             for y in _descending(_below(x))[1:]:
                 runs = _runs(tuple(map(ne, x, y)))
                 if len(runs) > 1:
-                    hit = product(x, y, runs, bars, width, interned)
+                    # Z(x, y) and its bar image are the products of the run
+                    # factors'.  Their ends are tight because the factors'
+                    # are, and so is their norm: Z has nonnegative
+                    # coefficients (Lusztig's positivity), so the norm of a
+                    # product is the product of the norms
+                    zs, zbars, _ = zip(*[bars[x[:i] + y[i:j] + x[j:]]
+                                         for i, j in runs])
+                    z, zbar = reduce(_mul, zs), reduce(_mul, zbars)
+                    if z[3].bit_length() > width - 2:
+                        _check_bound(z[3], width, ("Z", n, (x, y)))
+                    hit = interned.setdefault(zbar[:2], (
+                        z, zbar, width * ((zbar[1] - z[1]) >> 1)))
                 else:
                     (i, j), = runs
                     key = (xe[i], xe[j + 1], x[i:j], y[i:j])
-                    key = min(key, (key[1], key[0], key[2][::-1],
-                                    key[3][::-1]))
-                    if key not in memo:
-                        memo[key] = box_solve(x, y, w_to[y], bars, width,
-                                              interned)
-                    hit = memo[key]
+                    hit = memo.get(key)
+                    if hit is None:
+                        hit = _box_solve(n, x, y, psi_x - psi[y], w_to[y],
+                                         bars, width)
+                        hit = interned.setdefault(hit[1][:2], hit)
+                        memo[key] = memo[(key[1], key[0], key[2][::-1],
+                                          key[3][::-1])] = hit
                 table[y][x] = table[y[::-1]][rx] = hit[0]
                 bars[y] = hit
         return table
@@ -569,18 +644,11 @@ def canonical_transition_matrix(n: int) -> Mapping:
 
 def _packed_pbw(n: int, y, width: int, factors: dict):
     """pbw_coeff(n, y) packed as the product of its packed q-binomial
-    factors, memoized in factors by (top, bottom) at this width.  The
-    factors have nonnegative coefficients, so the product of their norms is
-    the norm of the product."""
-    e, keys = _pbw_factors(n, y)
-    packed = (1, e, e, 1)
-    for key in keys:
-        f = factors.get(key)
-        if f is None:
-            f = factors[key] = _pack(qbinom(*key)._terms, width,
-                                     ("pbw factor", n, key))
-        packed = _mul(packed, f)
-    return packed
+    factors, memoized in factors at this width.  The factors have
+    nonnegative coefficients, so the product of their norms is the norm of
+    the product."""
+    return _packed_product(*_pbw_factors(n, y), width, factors,
+                           ("pbw factor", n, y))
 
 
 def _canonical_coeffs(n: int, zeta: _PackedView) -> dict:

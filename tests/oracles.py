@@ -12,6 +12,8 @@
   the rank-2 identity ``rank2_straighten``; at the rows of
   ``staircase_exponents`` it gives the closed form ``pbw_coeff`` of
   ``lindeg.expansion``.
+* ``one_coordinate_z``: a closed form of the Z entries whose x - y is
+  nonzero in one coordinate, against the Z solve; it reads no W.
 * ``pbw_coeff_degree`` and ``pbw_coeff_degree_gap``: closed forms for the
   top exponent of ``pbw_coeff`` and for its difference between two
   tuples, against the degrees of the coefficients themselves.
@@ -119,6 +121,24 @@ def canonical_transition_matrix(n: int) -> dict:
                 out[(x, y)] = z
                 bars[y] = z.bar()
     return out
+
+
+def one_coordinate_z(n: int, x, y):
+    """The closed form of Z(x, y) when x - y is nonzero in one coordinate
+    k only, or None when it is not: with d = x_k - y_k and, for x padded
+    with zero ends, a_k = n + 1 - x_{k-1} - x_k,
+    Z(x, y) = v^(-d (max(a_k, a_{k+1}) + d)) [min(a_k, a_{k+1}) + d choose d].
+    It reads no W.  Its lowest term is 1 v^L(x, y), L = -d^2 -
+    d (a_k + a_{k+1}), as proven for every Z entry; the rest is checked,
+    not proven."""
+    diff = [k for k, (a, b) in enumerate(zip(x, y), start=1) if a != b]
+    if len(diff) != 1:
+        return None
+    k, = diff
+    xe = padded(n, x)
+    d = xe[k] - y[k - 1]
+    a, b = n + 1 - xe[k - 1] - xe[k], n + 1 - xe[k] - xe[k + 1]
+    return v_power(-d * (max(a, b) + d)) * qbinom(min(a, b) + d, d)
 
 
 @lru_cache(maxsize=None)

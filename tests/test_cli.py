@@ -174,6 +174,20 @@ def test_dual_parse_error(capsys):
     assert code == 2 and "cannot parse" in err
 
 
+@pytest.mark.parametrize("entry", ["1,1=1_0", "1,1=+2", "1,1=\u0661",
+                                   "1_1,2=1", "1,+2=1", "1,2=0x1"])
+def test_dual_reads_each_field_as_a_decimal_int(capsys, entry):
+    # int() would read these as 10, 2, 1, 11, 2 and fail on 0x1; the
+    # fields are read as LaurentPoly.from_pairs reads an int
+    code, out, err = run_cli(capsys, "dual", entry)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot parse multisegment entry {entry!r}; "
+                   "expected i,j=mult\n")
+    # blanks around a field are read as before
+    code, out, _ = run_cli(capsys, "dual", " 1 , 2 = 3 ; 2,2=1")
+    assert code == 0 and out.startswith("dual n=2: 1,2=3;2,2=1\n")
+
+
 def test_asymptotics(capsys):
     code, out, _ = run_cli(capsys, "asymptotics", "4")
     assert code == 0

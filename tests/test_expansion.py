@@ -488,18 +488,18 @@ def test_box_solves_one_per_local_key(monkeypatch):
     n = 6
     keys = {local_key(x, y) for x, y in comparable_pairs(n)
             if len(runs(x, y)) == 1}
-    labels = []
-    dot = expansion._dot
+    solved = []
+    box_solve = expansion._box_solve
 
-    def counting(pairs, width, label):
-        labels.append(label)
-        return dot(pairs, width, label)
+    def counting(m, x, y, *args):
+        solved.append((m, x, y))
+        return box_solve(m, x, y, *args)
 
-    monkeypatch.setattr(expansion, "_dot", counting)
+    monkeypatch.setattr(expansion, "_box_solve", counting)
     z = expansion._canonical_matrix(n, bar_transition_matrix(n))
     assert z == oracles.canonical_transition_matrix(n)
-    assert all(stage == "Z" for stage, _, _ in labels)
-    assert len(labels) == len(keys) == 441
+    assert all(m == n for m, _, _ in solved)
+    assert len(solved) == len(keys) == 441
 
 
 def test_z_solve_decodes_once_per_box_solved_key(monkeypatch):
@@ -532,6 +532,97 @@ def test_z_entries_are_packed_tight():
                 slots = expansion._decode(value, lo, hi, z._width, LABEL)
                 assert norm == sum(map(abs, slots)), (n, value, lo)
                 assert slots[0] and slots[-1], (n, value, lo)
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_box_sum_shifts_are_the_per_term_offsets(monkeypatch, width):
+    # each term bar Z(x, m) W(m, y) of a box sum is added shift bits above
+    # the first pair W(x, y), shift stored with the (z, bar z) of Z(x, m),
+    # box-solved or a multi-run product; it must be the offset of the
+    # term's lowest exponent, read from the public views
+    monkeypatch.setattr(expansion, "_START_WIDTH", width)
+    box_solve = expansion._box_solve
+    for n in range(2, 7):
+        solves = []
+
+        def recording(m, x, y, low, w_y, bars, slot_width):
+            solves.append((x, y, bars, slot_width))
+            return box_solve(m, x, y, low, w_y, bars, slot_width)
+
+        monkeypatch.setattr(expansion, "_box_solve", recording)
+        w = bar_transition_matrix(n)
+        z = expansion._canonical_matrix(n, bar_transition_matrix(n))
+        assert solves and z._width == width
+        terms = 0
+        for x, y, bars, slot_width in solves:
+            assert slot_width == width
+            first = min(w[(x, y)]._terms)
+            for m in between(y, x):
+                if m in (x, y):
+                    continue
+                offset = -z[(x, m)].degree() + min(w[(m, y)]._terms) - first
+                assert offset >= 0 and offset % 2 == 0, (n, x, m, y)
+                assert bars[m][2] == width * offset // 2, (n, x, m, y)
+                terms += 1
+    # the box-sum products of the n = 6 row of the ROADMAP table
+    assert terms == 7_333
+
+
+def test_w_refuses_an_entry_off_its_lowest_exponent(monkeypatch):
+    # one packed piece of a local factor moved up by v^2 moves every entry
+    # that uses it off v^L(x, y); the Z solve would then misalign its sums
+    pack = expansion._pack
+    shifted = []
+
+    def shifting(terms, width, label):
+        value, lo, hi, norm = pack(terms, width, label)
+        if label[0] == "W factor" and not shifted:
+            shifted.append(label)
+            lo, hi = lo + 2, hi + 2
+        return value, lo, hi, norm
+
+    monkeypatch.setattr(expansion, "_pack", shifting)
+    with pytest.raises(ArithmeticError,
+                       match=r"W (factor|entry) .* at n=4") as refused:
+        bar_transition_matrix(4)
+    assert shifted and not isinstance(refused.value,
+                                      expansion._SlotBoundError)
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_packed_bar_factors_are_the_packed_products(width):
+    # every local factor the W walk reads at n <= 6, g_k and for the last k
+    # g_k g_n, packed from its packed pieces: the same value, ends and
+    # tight norm as the packed LaurentPoly product
+    for n in range(2, 7):
+        pieces, keys = {}, set()
+        for x in ptuples(n):
+            xe = padded(n, x)
+            for k in range(1, n):
+                for dp in range(xe[k - 1] + 1):
+                    for dk in range(xe[k] + 1):
+                        keys.add((k == n - 1, xe[k - 1], xe[k], dp, dk))
+        for key in sorted(keys):
+            last, xp, xk, dp, dk = key
+            g = expansion._bar_factor(n, xp, xk, dp, dk)
+            if last:
+                g = g * expansion._bar_factor(n, xk, 0, dk, 0)
+            want = expansion._pack(g._terms, width, LABEL)
+            got = expansion._packed_bar_factor(n, key, width, pieces)
+            assert got == want, (n, key)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_coordinate_z_closed_form(n):
+    # the closed form reads no W, so it checks the Z solve independently
+    z = canonical_transition_matrix(n)
+    checked = 0
+    for (x, y), entry in z.items():
+        want = oracles.one_coordinate_z(n, x, y)
+        if want is not None:
+            assert entry == want, (n, x, y)
+            checked += 1
+    assert checked == [0, 1, 4, 24, 108, 648][n - 1]
 
 
 # -- packed kernel against the dict-path oracles ------------------------------
@@ -826,7 +917,8 @@ def test_traced_call_chain(monkeypatch):
     # perfbench's traced worker rebinds the three stage names in every
     # lindeg module, reads W's span and divides Z's products by Z's self
     # time: a cold verify must nest the stages once, build W inside W's
-    # span, and run Z's box sums inside Z's span but outside W's
+    # span, and run Z's box sums (_box_solve) inside Z's span but outside
+    # W's
     from lindeg.supports import all_checks_pass, verify_supports
     stages = ("canonical_coeffs", "canonical_transition_matrix",
               "bar_transition_matrix")
@@ -851,7 +943,7 @@ def test_traced_call_chain(monkeypatch):
         for m in modules:
             for attr in [a for a, v in vars(m).items() if v is fn]:
                 monkeypatch.setattr(m, attr, wrapped)
-    for name in ("_bar_table", "_dot"):
+    for name in ("_bar_table", "_box_solve"):
         monkeypatch.setattr(expansion, name,
                             traced(getattr(expansion, name), name))
     assert all_checks_pass(verify_supports(5))
@@ -863,7 +955,6 @@ def test_traced_call_chain(monkeypatch):
     bar_tables = [spans for name, spans, _ in calls if name == "_bar_table"]
     assert len(bar_tables) == 1
     assert all(stages[2] in spans for spans in bar_tables)
-    z_dots = [spans for name, spans, args in calls
-              if name == "_dot" and args[2][0] == "Z"]
-    assert z_dots and all(stages[1] in spans and stages[2] not in spans
-                          for spans in z_dots)
+    z_sums = [spans for name, spans, _ in calls if name == "_box_solve"]
+    assert z_sums and all(stages[1] in spans and stages[2] not in spans
+                          for spans in z_sums)
