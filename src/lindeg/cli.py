@@ -316,6 +316,16 @@ def _asymptotics_text(max_n: int, fmt: str) -> str:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
+def _int_arg(text: str) -> int:
+    """An integer argument as LaurentPoly.from_pairs reads one: an optional
+    '-' and ASCII digits, so '+3', '1_0' and non-ASCII digits are refused."""
+    return _parse_int(text)
+
+
+# argparse names the type in its message: "invalid int value: '+3'"
+_int_arg.__name__ = "int"
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.  Each subcommand's
@@ -325,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     formatted.add_argument("--format", choices=["text", "json", "csv"],
                            default="text", help="output format")
     sized = argparse.ArgumentParser(add_help=False, parents=[formatted])
-    sized.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
+    sized.add_argument("--max-n", type=_int_arg, default=DEFAULT_MAX_N,
                        metavar="K", help=f"set the size cap to K (default "
                        f"{DEFAULT_MAX_N}); a cap above {DEFAULT_MAX_N} prints "
                        f"a cost warning")
@@ -340,12 +350,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supports", parents=[sized],
                        help="support rank tuples for a given n")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(report=lambda a: (_supports_text(a.n, a.format), 0))
 
     p = sub.add_parser("expand", parents=[sized],
                        help="canonical expansion of the staircase monomial")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument("--expanded", action="store_true",
                    help="print coefficients as expanded Laurent polynomials")
     p.set_defaults(
@@ -353,26 +363,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("motzkin", parents=[sized],
                        help="enumerate Motzkin paths")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(report=lambda a: (_motzkin_text(a.n, a.format), 0))
 
     p = sub.add_parser("dual", parents=[sized],
                        help="dual rank tuple of a multisegment "
                             "(format: 'i,j=mult;i,j=mult;...')")
     p.add_argument("multisegment")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_int_arg, default=None,
                    help="ambient n (default: largest right endpoint)")
     p.set_defaults(report=_dual_report)
 
     p = sub.add_parser("verify", parents=[sized],
                        help="cross-check the two support pipelines")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(report=_verify_report)
 
     # no size cap: the table is closed-form counting, so no --max-n either
     p = sub.add_parser("asymptotics", parents=[formatted],
                        help="Motzkin vs Bell counting table")
-    p.add_argument("max_n", type=int)
+    p.add_argument("max_n", type=_int_arg)
     p.set_defaults(report=lambda a: (_asymptotics_text(a.max_n, a.format), 0))
 
     return parser

@@ -23,10 +23,12 @@ words, because closed forms exist for every structure constant needed:
   turning the PBW coefficients of the staircase monomial into canonical
   ones.
 
-All coefficients are exact Laurent polynomials; every step is deterministic
-(keys are processed by descending coordinate sum, ties lexicographic).  The
-stages run on a packed-integer kernel (see the notes below) and hand each
-other packed tables.  Each call of ``bar_transition_matrix`` or
+All coefficients are exact Laurent polynomials; every step is deterministic:
+the Z solve walks each column's targets in reverse lexicographic order, mu
+its keys by descending coordinate sum, ties lexicographic, and either order
+puts every key after all keys above it componentwise.  The stages run on a
+packed-integer kernel (see the notes below) and hand each other packed
+tables.  Each call of ``bar_transition_matrix`` or
 ``canonical_transition_matrix`` computes its stage anew and returns a
 read-only view that owns the table and decodes an entry on its first read.
 The Z solve takes the table of a W view of its own and mu takes the table
@@ -60,8 +62,9 @@ g = 1 when d_{k-1} = d_k = 0.  Fix a column x.  Its entries Z(x, t)
 for t in a box [y, x] are the unique solution of the system on that box:
 Z(x, x) = 1, Z(x, t) in v^-1 Z[v^-1] for t < x, and
 Z(x, t) = sum over t <= m <= x of bar(Z(x, m)) W(m, t), because solving it
-by descending coordinate sum fixes each Z(x, t) as the only element of
-v^-1 Z[v^-1] with a given z - bar(z).  Two facts follow:
+in an order that puts every m > t before t (reverse lexicographic, say)
+fixes each Z(x, t) as the only element of v^-1 Z[v^-1] with a given
+z - bar(z).  Two facts follow:
 
 * Split at a zero.  Let d_c = 0, and split tuples into the coordinates
   left and right of c as t = (t_L, x_c, t_R); every m in [y, x] has
@@ -75,6 +78,8 @@ v^-1 Z[v^-1] with a given z - bar(z).  Two facts follow:
   Z(x, t) = zeta_L(t_L) zeta_R(t_R).  Repeating this at every zero between
   the runs (maximal blocks of nonzero coordinates) of d gives
   Z(x, y) = prod_r Z(x, u_r), where u_r is x with y's coordinates on run r.
+  Split once, at the zero left of the last run, starting at i: Z(x, y) =
+  Z(x, y[:i] + x[i:]) Z(x, x[:i] + y[i:]), both pairs above y.
 * One run.  If d is nonzero exactly on the block i..j, every factor of
   W(m, t) for m, t in [y, x] is 1 except those for k = i..j+1, which read
   only x_{i-1}, x_{j+1}, m and t on the block.  So the system on the box,
@@ -84,7 +89,8 @@ v^-1 Z[v^-1] with a given z - bar(z).  Two facts follow:
   by the reversal symmetry it has the same entry.
 
 The Z solve box-solves one entry per reversal-canonical local key and
-builds the entries with two or more runs as products of their run factors.
+builds each entry with two or more runs as the product of the two entries
+of the last split.
 
 No zero factors on P(n).  There a_k = n + 1 - x_{k-1} - x_k >= 2, and d >= 0
 on a pair y <= x, so every g_k (the folded g_n too) is a product of nonzero
@@ -111,9 +117,10 @@ psi(x) - psi(y) with psi(t) = sum t_k^2 + sum t_k t_{k-1} - 2 (n + 1) sum t_k.)
 * Alignment.  With z = Z(x, m), the term bar(z) W(m, y) starts at
   lo bar(z) + L(m, y) = L(x, y) + (lo bar(z) - lo z), as lo z = L(x, m).
   So it lies (lo bar(z) - lo z) / 2 >= 1 slots above the first pair, an
-  offset of the entry z alone, and the same for a product of run factors,
-  whose lows add.  The Z solve stores it with each entry as a bit shift
-  and sums a box in one pass, with no exponent arithmetic per term.
+  offset of the entry z alone, and the sum of the factors' offsets for a
+  product of entries, whose lows add.  The Z solve stores it with each
+  entry as a bit shift and sums a box in one pass, with no exponent
+  arithmetic per term.
   Nothing is summed there below its first pair, as long as W starts at
   v^L: ``_bar_table`` refuses a W entry that does not start at
   v^(psi(x) - psi(y)), and each box solve refuses a first pair W(x, y)
@@ -135,9 +142,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Mapping
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 from math import comb, prod
-from operator import ne, neg
 from types import MappingProxyType
 
 from .combinatorics import _parameter_tuple, leq, padded, ptuples, upper_bounds
@@ -473,40 +479,46 @@ def _bar_table(n: int, width: int) -> dict:
     """W on the packed kernel as a by-target table in width-bit slots, one
     column x at a time.  One loop per coordinate k extends the lexicographic
     list of (y prefix, d_k, packed prefix product) by the local factors
-    (_packed_bar_factor), g_n folded into the factor for k = n - 1, so each
-    entry costs about one multiply; memo holds the packed factors by key
-    and their packed pieces by piece.  An entry that does not start at
+    (_packed_bar_factor), g_n folded into the factor for k = n - 1: the
+    factors of level k form one row per d_{k-1}, looked up once per column
+    in memo, which holds them by key and their packed pieces by piece, so
+    each entry costs one multiply.  An entry that does not start at
     v^L(x, y) is refused: the aligned box sums of the Z solve rely on it.
     A new entry is decoded once, for the slot guard and its tight norm.
     Each entry also fills its mirror (rev x, rev y)."""
     table, interned, memo = {y: {} for y in ptuples(n)}, {}, {}
     psi = _psi(n)
+
+    def factor(key):
+        g = memo.get(key)
+        if g is None:
+            g = memo[key] = _packed_bar_factor(n, key, width, memo)
+        return g
+
     # the largest entries lie in the largest columns: walked from the top, a
     # refused width shows before any work is done
     for x in _reversal_canonical(reversed(ptuples(n))):
-        xe = padded(n, x)
+        rx, xe, psi_x = x[::-1], padded(n, x), psi[x]
         prefixes = [((), 0, _UNIT)]
         for k in range(1, n):
-            grown = []
-            for y, dp, prefix in prefixes:
-                for yk in range(xe[k] + 1):
-                    key = (k == n - 1, xe[k - 1], xe[k], dp, xe[k] - yk)
-                    g = memo.get(key)
-                    if g is None:
-                        g = memo[key] = _packed_bar_factor(n, key, width,
-                                                           memo)
-                    grown.append((y + (yk,), key[4], _mul(prefix, g)))
-            prefixes = grown
+            xp, xk = xe[k - 1], xe[k]
+            # row dp holds ((y_k,), d_k, g_k) for d_{k-1} = dp
+            rows = [[((yk,), xk - yk, factor((k == n - 1, xp, xk, dp,
+                                              xk - yk)))
+                     for yk in range(xk + 1)] for dp in range(xp + 1)]
+            prefixes = [(y + yk, dk, _mul(prefix, g))
+                        for y, dp, prefix in prefixes
+                        for yk, dk, g in rows[dp]]
         for y, _, (value, lo, hi, norm) in prefixes:
             label = ("W", n, (x, y))
             _check_bound(norm, width, label)
-            if lo != psi[x] - psi[y]:
+            if lo != psi_x - psi[y]:
                 raise ArithmeticError(f"{_where(label)} does not start at v^L")
             w = interned.get((value, lo))
             if w is None:
                 w = interned[(value, lo)] = (value, lo, hi, sum(map(
                     abs, _decode(value, lo, hi, width, label))))
-            table[y][x] = table[y[::-1]][x[::-1]] = w
+            table[y][x] = table[y[::-1]][rx] = w
     return table
 
 
@@ -534,7 +546,15 @@ def _box_solve(n: int, x, y, low: int, w_y: dict, bars: dict,
     so far, bars; low = L(x, y).  The box sum is aligned (module
     docstring): its first pair W(x, y) starts at v^low, and the term
     bar Z(x, m) W(m, y) shift bits above it, where shift, stored with each
-    entry, is width (lo bar z - lo z) / 2 of z = Z(x, m)."""
+    entry, is width (lo bar z - lo z) / 2 of z = Z(x, m).
+
+    z is the part of the rhs below v^0: its h = (1 - low) // 2 low slots,
+    read from the sum mod 2^(width h), trimmed at their top end v^hi so
+    that z and bar(z) are packed tight and so are the products of such.
+    The rhs is accepted when it starts with 1 v^low and equals z - bar(z)
+    exactly, packed as total == z - (bar(z) << shift).  That one equality
+    says what a decode of the whole rhs would: nothing above v^-low, the
+    rhs its own negated mirror image and its constant term zero."""
     label = ("Z", n, (x, y))
     total, lo, _, bound = w_y[x]
     # the box ends y and x, which bars does not hold, come first and last
@@ -544,78 +564,81 @@ def _box_solve(n: int, x, y, low: int, w_y: dict, bars: dict,
         total += a * b << shift
         bound += a_norm * b_norm
     _check_bound(bound, width, label)
-    # the rhs is read on the window [lo, -lo], or up to its top slot if it
-    # runs past it.  Its first pair must start at v^lo, lo = L(x, y) <= -1
-    # (module docstring), and the rhs with 1 v^lo.  A bar-antisymmetric rhs
-    # is its own negated mirror image, so it lies on the 1 - lo slots of the
-    # window and equals its negated reversal there, which forces a zero
-    # constant term
+    if lo == low:
+        # the low slots as a signed value: every slot of the sum is below
+        # 2^(width - 2) in absolute value, so this is their packed value
+        h = (1 - low) >> 1
+        z = total & ((1 << width * h) - 1)
+        if z >> (width * h - 1):
+            z -= 1 << width * h
+        slots = _decode(z, lo, lo + 2 * (h - 1), width, label)
+        if slots[0] == 1:
+            while not slots[h - 1]:
+                h -= 1
+            hi = lo + 2 * (h - 1)
+            zbar, _, _, norm = _pack_slots(slots[h - 1::-1], -hi, width,
+                                           label)
+            shift = width * ((-hi - lo) >> 1)
+            if total == z - (zbar << shift):
+                return (z, lo, hi, norm), (zbar, -hi, -lo, norm), shift
     top = lo + 2 * max(-lo, abs(total).bit_length() // width)
-    slots = _decode(total, lo, top, width, label)
-    window = slots[:1 - lo]
-    if (lo != low or slots[0] != 1 or any(slots[1 - lo:])
-            or list(map(neg, reversed(window))) != list(window)):
-        raise ArithmeticError(
-            f"bar-antisymmetry failed solving entry ({x}, {y}) at "
-            f"n={n}: rhs = {_raw(_terms(lo, slots))}")
-    # z is the part of the rhs below v^0, the lower half of the window,
-    # trimmed at its top end v^hi so that z and bar(z) are packed tight and
-    # so are the products of such.  The rhs is z - bar(z), bar(z) from v^-hi
-    # up, so total = z - (bar(z) << shift); |z| < 2^(shift - 1), as z ends
-    # below v^-hi, and total / 2^shift rounded to the nearest integer is
-    # -bar(z)
-    zslots = window[:len(window) // 2]
-    while not zslots[-1]:
-        del zslots[-1]
-    norm, hi = sum(map(abs, zslots)), lo + 2 * (len(zslots) - 1)
-    _check_bound(norm, width, label)
-    shift = width * ((-hi - lo) >> 1)
-    zbar = -((total + (1 << (shift - 1))) >> shift)
-    return ((total + (zbar << shift), lo, hi, norm), (zbar, -hi, -lo, norm),
-            shift)
+    raise ArithmeticError(
+        f"bar-antisymmetry failed solving entry ({x}, {y}) at n={n}: rhs = "
+        f"{_raw(_terms(lo, _decode(total, lo, top, width, label)))}")
 
 
 def _canonical_matrix(n: int, w: _PackedView) -> _PackedView:
     """Z on the packed kernel, one column x at a time, as a view over its
     by-target table; it takes the table of the W view w.  Each entry also
-    fills its mirror.  An entry whose x - y has two or more runs is the
-    product of its run factors; an entry with one run is box-solved
-    (_box_solve) once per local key and its mirror, and reused (see the
-    module docstring)."""
+    fills its mirror.  A column's targets y are walked in reverse
+    lexicographic order, which puts every m > y before y.  An entry whose
+    x - y has two or more runs is a product of two entries found before it;
+    an entry with one run is box-solved (_box_solve) once per local key and
+    its mirror, kept under the one of the two met first, and reused (see
+    the module docstring)."""
     def attempt(width):
         w_to, table = w._take(width), {y: {} for y in ptuples(n)}
         # (packed z, packed bar(z), shift) by the packed bar image, and by
-        # local key; psi gives L(x, y) = psi(x) - psi(y)
+        # local key in one orientation; psi gives L(x, y) = psi(x) - psi(y)
         interned, memo, psi = {}, {}, _psi(n)
         for x in _reversal_canonical(ptuples(n)):
             rx, xe, psi_x = x[::-1], padded(n, x), psi[x]
             table[x][x] = table[rx][rx] = _UNIT
             bars = {}  # (z, bar(z), shift) of the entries of this column
-            for y in _descending(_below(x))[1:]:
-                runs = _runs(tuple(map(ne, x, y)))
+            # each target with the pattern x != y, x itself first
+            targets = zip(
+                itertools.product(*[range(c, -1, -1) for c in x]),
+                itertools.product(*[(False,) + (True,) * c for c in x]))
+            next(targets)
+            for y, pattern in targets:
+                runs = _runs(pattern)
+                i, j = runs[-1]
                 if len(runs) > 1:
-                    # Z(x, y) and its bar image are the products of the run
-                    # factors'.  Their ends are tight because the factors'
-                    # are, and so is their norm: Z has nonnegative
-                    # coefficients (Lusztig's positivity), so the norm of a
-                    # product is the product of the norms
-                    zs, zbars, _ = zip(*[bars[x[:i] + y[i:j] + x[j:]]
-                                         for i, j in runs])
-                    z, zbar = reduce(_mul, zs), reduce(_mul, zbars)
-                    if z[3].bit_length() > width - 2:
-                        _check_bound(z[3], width, ("Z", n, (x, y)))
-                    hit = interned.setdefault(zbar[:2], (
-                        z, zbar, width * ((zbar[1] - z[1]) >> 1)))
+                    # Z(x, y) is Z(x, u) Z(x, v), u and v being x with y's
+                    # coordinates left of the last run and on it (module
+                    # docstring), and so is its bar image.  Lows add, so
+                    # shifts do; the ends are tight because the factors'
+                    # are, and so is the norm: Z has nonnegative
+                    # coefficients (Lusztig's positivity), so the norm of
+                    # a product is the product of the norms
+                    u, v = bars[y[:i] + x[i:]], bars[x[:i] + y[i:]]
+                    zbar = _mul(u[1], v[1])
+                    hit = interned.get(zbar[:2])
+                    if hit is None:
+                        z = _mul(u[0], v[0])
+                        if z[3].bit_length() > width - 2:
+                            _check_bound(z[3], width, ("Z", n, (x, y)))
+                        hit = interned[zbar[:2]] = (z, zbar, u[2] + v[2])
                 else:
-                    (i, j), = runs
                     key = (xe[i], xe[j + 1], x[i:j], y[i:j])
                     hit = memo.get(key)
                     if hit is None:
+                        hit = memo.get((key[1], key[0], key[2][::-1],
+                                        key[3][::-1]))
+                    if hit is None:
                         hit = _box_solve(n, x, y, psi_x - psi[y], w_to[y],
                                          bars, width)
-                        hit = interned.setdefault(hit[1][:2], hit)
-                        memo[key] = memo[(key[1], key[0], key[2][::-1],
-                                          key[3][::-1])] = hit
+                        hit = memo[key] = interned.setdefault(hit[1][:2], hit)
                 table[y][x] = table[y[::-1]][rx] = hit[0]
                 bars[y] = hit
         return table
@@ -630,10 +653,13 @@ def canonical_transition_matrix(n: int) -> Mapping:
     Diagonal entries are 1.  Each off-diagonal entry z solves
     z - bar(z) = w(x, y) + sum over y < m < x of bar(z(x, m)) w(m, y)
     inside v^-1 Z[v^-1], i.e. z is the negative-exponent part of the right
-    hand side; entries are solved for targets of descending coordinate sum
-    so the needed intermediate entries always exist already.  A right-hand
-    side that does not start with coefficient 1, has a constant term or is
-    not bar-antisymmetric means the bar-transition closed form is broken,
+    hand side.  A column's targets are solved in reverse lexicographic
+    order, which puts every m > y before y, so the needed intermediate
+    entries always exist already; an entry whose x - y has two or more runs
+    is the product of two of them (module docstring).  A right-hand side
+    is accepted when it starts with 1 v^L(x, y) and equals z - bar(z)
+    exactly.  One that does not, so one that has a constant term or is
+    not bar-antisymmetric, means the bar-transition closed form is broken,
     and raises ArithmeticError.  W is read through the name
     bar_transition_matrix.  Every pair y <= x has a nonzero entry (module
     docstring).  Each call solves Z anew from a W of its own, whose table

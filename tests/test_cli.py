@@ -368,6 +368,25 @@ def test_parse_cache_is_bounded(capsys):
     assert cli._dual_text.cache_info().currsize <= 1024
 
 
+@pytest.mark.parametrize("argv,name,text", [
+    (["motzkin", "+3"], "n", "+3"),
+    (["motzkin", "٣"], "n", "٣"),  # ARABIC-INDIC DIGIT THREE
+    (["motzkin", "1_0"], "n", "1_0"),
+    (["expand", " 2"], "n", " 2"),
+    (["verify", "+2"], "n", "+2"),
+    (["supports", "2", "--max-n", "+9"], "--max-n", "+9"),
+    (["dual", "1,1=1", "--n", "1_0"], "--n", "1_0"),
+    (["asymptotics", "３"], "max_n", "３"),  # FULLWIDTH DIGIT THREE
+])
+def test_integer_arguments_are_plain_decimals(capsys, argv, name, text):
+    # every integer argument is read as LaurentPoly.from_pairs reads an int
+    # and as the multisegment fields are: an optional '-' and ASCII digits
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f"error: argument {name}: invalid int value: {text!r}\n")
+
+
 def test_unknown_subcommand_exactly(capsys):
     # argparse quotes the choices up to 3.11 and not in later releases
     message = (USAGE + "lindeg: error: argument command: invalid choice: "

@@ -182,6 +182,41 @@ def test_solver_rejects_rhs_not_starting_with_one(broken):
         expansion._canonical_matrix(2, w)
 
 
+def with_top_slot(w, x, y, change):
+    """The W view w with the top slot of W(x, y) changed by change, its
+    mirror left as it is."""
+    value, lo, hi, _ = w._table[y][x]
+    slots = list(expansion._decode(value, lo, hi, w._width, LABEL))
+    slots[-1] += change
+    w._table[y][x] = expansion._pack_slots(slots, lo, w._width, LABEL)
+    return w
+
+
+@pytest.mark.parametrize("change", [-1, 1, 2])
+def test_solver_rejects_rhs_broken_above_its_lower_half(change):
+    # W((1), (0)) = v^-5 + v^-3 + v^-1 - v - v^3 - v^5 at n = 2 is the whole
+    # rhs of its box: starting with 1 v^L, its lower half z intact, it must
+    # still be z - bar(z) on the upper half, v^5 included
+    w = with_top_slot(bar_transition_matrix(2), (1,), (0,), change)
+    assert min(w[((1,), (0,))]._terms) == -5
+    with pytest.raises(ArithmeticError,
+                       match=r"bar-antisymmetry failed solving entry "
+                             r"\(\(1,\), \(0,\)\) at n=2"):
+        expansion._canonical_matrix(2, w)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_solver_rejects_an_interior_term_broken_at_its_top(change):
+    # at n = 3, W((1, 0), (0, 0)) is read only inside the box of
+    # Z((1, 1), (0, 0)): the column (1, 0) is filled from its mirror
+    # (0, 1).  Its top slot lands in the upper half of that box's rhs
+    w = with_top_slot(bar_transition_matrix(3), (1, 0), (0, 0), change)
+    with pytest.raises(ArithmeticError,
+                       match=r"bar-antisymmetry failed solving entry "
+                             r"\(\(1, 1\), \(0, 0\)\) at n=3"):
+        expansion._canonical_matrix(3, w)
+
+
 def test_canonical_coeffs_n2():
     mu = canonical_coeffs(2)
     assert mu == {(1,): ONE, (0,): qfact(3)}
@@ -340,6 +375,17 @@ def test_mirrored_entries_are_shared():
     mu = canonical_coeffs(n)
     for y, c in mu.items():
         assert mu[rev(y)] is c, y
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tables_share_their_key_objects(n):
+    # a column x and its mirror rev x are keyed by one tuple object each in
+    # every row: a tuple made per entry would be held once per entry
+    w = bar_transition_matrix(n)
+    z = expansion._canonical_matrix(n, bar_transition_matrix(n))
+    for view in (w, z):
+        keys = {id(x) for row in view._table.values() for x in row}
+        assert len(keys) <= 2 * len(ptuples(n)), (view._stage, len(keys))
 
 
 def test_cached_results_read_only():
